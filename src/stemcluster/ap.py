@@ -6,6 +6,17 @@ values in [0, 1]) or ``median`` (negated median character-offset
 distance, values in [-200, 0]).  The diagonal carries the preference;
 higher preferences buy more clusters.
 
+The median matrix is built with array code rather than one
+``ngrams.median_offset_distance`` call per pair.  A first-occurrence
+table holds, per word, the first position of every character of the
+lexicon's alphabet.  Row i gathers only the columns of its own distinct
+characters against the later words, takes absolute position offsets,
+sorts them along that short axis and reads the median of the shared
+ones; the far-distance rules then apply exactly as in the scalar
+definition, so every entry equals ``median_offset_distance`` bit for
+bit.  Temporaries stay at one [n, m] block per row, m being the row
+word's distinct-character count.
+
 Every point starts as a potential exemplar.  Each iteration sends
 responsibilities
 
@@ -34,13 +45,14 @@ MemoryError halfway through.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .clusters import Cluster, select_stem
 from .errors import CapacityError, ConfigError, DegenerateClusteringError
-from .ngrams import combined_profile, median_offset_distance
+from .ngrams import FAR_DISTANCE, combined_profile
 from .preprocess import Lexicon
 
 COEFFICIENT = "coefficient"
@@ -63,8 +75,13 @@ class APConfig:
     def __post_init__(self):
         if not 0.5 <= self.damping < 1.0:
             raise ConfigError(f"damping must lie in [0.5, 1), got {self.damping}")
-        if isinstance(self.preference, str) and self.preference != MEDIAN_PREFERENCE:
-            raise ConfigError(f"preference must be a number or 'median', got {self.preference!r}")
+        if isinstance(self.preference, str):
+            if self.preference != MEDIAN_PREFERENCE:
+                raise ConfigError(
+                    f"preference must be a number or 'median', got {self.preference!r}"
+                )
+        elif not math.isfinite(self.preference):
+            raise ConfigError(f"preference must be a finite number, got {self.preference}")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be at least 1")
         if self.convergence_window < 1:
@@ -155,13 +172,47 @@ def _coefficient_matrix(words) -> np.ndarray:
 
 
 def _median_matrix(words) -> np.ndarray:
+    # first[j, c] is the first position of character c in word j, or
+    # ``absent`` when word j lacks it; ``absent`` is so large that every
+    # offset against it exceeds any real one and sorts behind it
     n = len(words)
+    alphabet = {ch: c for c, ch in enumerate(dict.fromkeys("".join(words)))}
+    lengths = np.array([len(word) for word in words], dtype=np.int64)
+    longest = int(lengths.max())
+    absent = 2 * longest
+    first = np.full(
+        (n, len(alphabet)), absent, dtype=np.int32 if absent < 2**31 else np.int64
+    )
+    columns: list[np.ndarray] = []
+    for i, word in enumerate(words):
+        firsts: dict[str, int] = {}
+        for position, ch in enumerate(word):
+            firsts.setdefault(ch, position)
+        cols = np.array([alphabet[ch] for ch in firsts], dtype=np.intp)
+        first[i, cols] = list(firsts.values())
+        columns.append(cols)
+
     s = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            value = median_offset_distance(words[i], words[j])
-            s[i, j] = value
-            s[j, i] = value
+    for i in range(n - 1):
+        # offsets to every later word over word i's own characters; after
+        # the sort each row starts with its shared offsets, ascending
+        cols = columns[i]
+        offsets = np.abs(first[i + 1 :, cols] - first[i, cols])
+        offsets.sort(axis=1)
+        shared = np.count_nonzero(offsets < longest, axis=1)
+        flat = offsets.ravel()
+        starts = np.arange(0, flat.size, len(cols))
+        low = flat[starts + np.maximum(shared - 1, 0) // 2]
+        high = flat[starts + shared // 2]
+        distance = (low + high) / 2
+        far = (
+            (shared == 0)
+            | (distance > np.minimum(lengths[i], lengths[i + 1 :]))
+            | (distance > FAR_DISTANCE)
+        )
+        row = np.where(far, -FAR_DISTANCE, -distance)
+        s[i, i + 1 :] = row
+        s[i + 1 :, i] = row
     return s
 
 

@@ -127,7 +127,7 @@ def cmd_train(args) -> int:
         matrix = ap_mod.build_similarity_matrix(lexicon, mode, config)
         result = ap_mod.run_ap(matrix, config)
         clusters = result.clusters
-        order = COMBINED if mode == ap_mod.COEFFICIENT else "median"
+        order = COMBINED if mode == ap_mod.COEFFICIENT else ap_mod.MEDIAN
         table = stem_table_from_clusters(clusters, order=order, threshold=None)
         write_cluster_report(
             args.report,

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import FormatError
-from .preprocess import lexicon_sort_key
+from .preprocess import lexicon_sort_key, read_text
 
 
 def select_stem(members) -> str:
@@ -70,12 +70,18 @@ def write_cluster_report(
 
 
 def read_cluster_report(path) -> tuple[list[Cluster], dict]:
-    """Load a cluster report; returns (clusters, run-level metadata)."""
-    raw = Path(path).read_bytes().decode("utf-8")
+    """Load a cluster report; returns (clusters, run-level metadata).
+
+    The clusters must partition their words: string stems and members,
+    and no word in more than one cluster.
+    """
+    text = read_text(path)
     try:
-        payload = json.loads(raw)
+        payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"not valid JSON ({exc})", path=path) from None
+    except RecursionError:
+        raise FormatError("JSON nested too deeply", path=path) from None
     if isinstance(payload, list):
         entries, meta = payload, {}
     elif isinstance(payload, dict) and isinstance(payload.get("clusters"), list):
@@ -84,9 +90,21 @@ def read_cluster_report(path) -> tuple[list[Cluster], dict]:
     else:
         raise FormatError("expected a cluster array or an object with a 'clusters' array", path=path)
     clusters = []
+    seen: set[str] = set()
     for entry in entries:
         try:
-            clusters.append(Cluster(stem=entry["stem"], members=tuple(entry["members"])))
+            stem, members = entry["stem"], entry["members"]
+            if not isinstance(stem, str) or not isinstance(members, list):
+                raise TypeError("expected a string stem and a member list")
+            if not all(isinstance(member, str) for member in members):
+                raise TypeError("members must be strings")
+            clusters.append(Cluster(stem=stem, members=tuple(members)))
         except (TypeError, KeyError, ValueError) as exc:
             raise FormatError(f"bad cluster entry {entry!r} ({exc})", path=path) from None
+        repeated = seen.intersection(members)
+        if repeated:
+            raise FormatError(
+                f"word {min(repeated)!r} appears in more than one cluster", path=path
+            )
+        seen.update(members)
     return clusters, meta

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+from .ap import MEDIAN
 from .clusters import Cluster, select_stem
 from .errors import ConfigError, FormatError, PartitionError
 from .ngrams import BIGRAM, GRAM_ORDERS, ngram_profile
@@ -26,6 +27,9 @@ from .preprocess import Lexicon, read_text
 DEFAULT_THRESHOLD = 0.06
 
 _TABLE_MAGIC = "#stemcluster v1"
+# the similarity a table was trained with: a greedy gram order, or the
+# ap-median backend's median offsets
+_TABLE_ORDERS = (*GRAM_ORDERS, MEDIAN)
 
 
 @dataclass(frozen=True)
@@ -137,6 +141,10 @@ def read_stem_table(path) -> StemTable:
     for field in lines[0][len(_TABLE_MAGIC) :].split():
         key, _, value = field.partition("=")
         if key == "order":
+            if value not in _TABLE_ORDERS:
+                raise FormatError(
+                    f"order must be one of {_TABLE_ORDERS}, got {value!r}", path=path, line=1
+                )
             order = value
         elif key == "threshold":
             try:

@@ -5,6 +5,9 @@ sets.  ``median_offset_distance`` is the alternative measure fed to the
 median-similarity clustering mode: the median absolute difference of
 first-occurrence positions of the characters two words share, negated so
 that larger is always more similar, with 200 as the "very far" sentinel.
+It is the scalar definition: the affinity-propagation backend builds its
+median matrix with equivalent array code (see ``ap``), and the tests
+compare every entry of that matrix with this function.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@ from statistics import median as stat_median
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from stemcluster import build_lexicon
 from stemcluster.ap import (
@@ -20,6 +20,21 @@ from stemcluster.errors import CapacityError, ConfigError, DegenerateClusteringE
 from stemcluster.ngrams import combined_profile, dice, median_offset_distance
 
 from helpers import best_net_similarity, net_similarity, random_word
+
+
+# few letters, so words repeat characters and share many with each other;
+# padding by 190-260 copies of one character pushes offsets past 200
+_median_letters = st.sampled_from("কখগাি্অ" + "abcxyz")
+_short_words = st.text(_median_letters, min_size=2, max_size=12)
+_median_words = st.one_of(
+    _short_words,
+    st.builds(
+        lambda pad, at_front, word: pad + word if at_front else word + pad,
+        st.integers(190, 260).map(lambda size: "z" * size),
+        st.booleans(),
+        _short_words,
+    ),
+)
 
 
 def random_similarity(rng, n, low=0.0, high=1.0, preference=None):
@@ -53,6 +68,12 @@ class TestConfig:
     def test_bad_preference_string(self):
         with pytest.raises(ConfigError):
             APConfig(preference="mean")
+
+    @pytest.mark.parametrize("preference", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_preference_rejected(self, preference):
+        with pytest.raises(ConfigError) as err:
+            APConfig(preference=preference)
+        assert str(preference) in str(err.value)
 
 
 class TestSimilarityMatrixType:
@@ -108,6 +129,25 @@ class TestBuildSimilarityMatrix:
             for j in range(n):
                 if i != j:
                     assert matrix.s[i, j] == median_offset_distance(lex.words[i], lex.words[j])
+
+    @settings(max_examples=60)
+    @given(st.lists(_median_words, min_size=2, max_size=16, unique=True))
+    @example(["ab", "zzzza"])  # median 4 exceeds the shorter length 2
+    @example(["abab", "cdcd"])  # no shared character
+    @example(["a" + "b" * 300, "c" * 250 + "a" + "b" * 60])  # median 250 > 200
+    def test_median_matrix_is_scalar_distance_bit_for_bit(self, words):
+        lex = build_lexicon(words)
+        matrix = build_similarity_matrix(lex, MEDIAN)
+        expected = np.array(
+            [
+                [
+                    matrix.s[i, i] if i == j else median_offset_distance(a, b)
+                    for j, b in enumerate(lex.words)
+                ]
+                for i, a in enumerate(lex.words)
+            ]
+        )
+        assert matrix.s.tobytes() == expected.tobytes()
 
     def test_symmetry_exhaustive(self):
         rng = random.Random(7)

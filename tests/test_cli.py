@@ -183,6 +183,40 @@ class TestTrain:
         assert err.startswith("error: ")
         assert "max_points=10" in err
 
+    @pytest.mark.parametrize("backend", ["ap-coeff", "ap-median"])
+    def test_ap_demo_artifacts_match_committed(
+        self, tmp_path, demo_expected_dir, demo_out_dir, backend
+    ):
+        table = tmp_path / "t.tsv"
+        report = tmp_path / "r.json"
+        code = run_cli(
+            "train", str(demo_expected_dir / "lexicon.txt"),
+            "--backend", backend,
+            "--stem-table", str(table),
+            "--report", str(report),
+        )
+        assert code == 0
+        assert table.read_bytes() == (demo_out_dir / f"{backend}-stems.tsv").read_bytes()
+        assert report.read_bytes() == (demo_out_dir / f"{backend}-report.json").read_bytes()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_preference_is_usage_error(
+        self, tmp_path, demo_expected_dir, capsys, value
+    ):
+        code = run_cli(
+            "train", str(demo_expected_dir / "lexicon.txt"),
+            "--backend", "ap-median",
+            f"--preference={value}",
+            "--stem-table", str(tmp_path / "t.tsv"),
+            "--report", str(tmp_path / "r.json"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert value in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_bad_threshold_is_usage_error(self, tmp_path, demo_expected_dir, capsys):
         code = run_cli(
             "train", str(demo_expected_dir / "lexicon.txt"),
@@ -275,6 +309,23 @@ class TestEvaluate:
         gold.write_text("aa\tS1\nba\tS2\n", encoding="utf-8")
         assert run_cli("evaluate", str(report), str(gold)) == 0
         assert json.loads(capsys.readouterr().out)["accuracy"] == 0.0
+
+    def test_non_utf8_report_is_one_error_line(self, tmp_path, demo_gold, capsys):
+        report = tmp_path / "r.json"
+        report.write_bytes(b'[{"stem": "\xff\xfe", "members": ["\xff\xfe"]}]')
+        assert run_cli("evaluate", str(report), str(demo_gold)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "not valid UTF-8" in err
+
+    def test_deeply_nested_report_is_one_error_line(self, tmp_path, demo_gold, capsys):
+        report = tmp_path / "r.json"
+        report.write_text("[" * 100_000, encoding="utf-8")
+        assert run_cli("evaluate", str(report), str(demo_gold)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
 
     def test_bad_gold_file_propagates(self, trained, tmp_path, capsys):
         gold = tmp_path / "gold.tsv"

@@ -223,6 +223,21 @@ class TestStemTable:
         assert err.value.line == 3
 
 
+    def test_unknown_order_rejected_at_header(self, tmp_path):
+        path = tmp_path / "table.tsv"
+        path.write_text("#stemcluster v1 order=banana threshold=-\nab\tab\n", encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            read_stem_table(path)
+        assert err.value.line == 1
+        assert "banana" in str(err.value)
+
+    @pytest.mark.parametrize("order", ["2", "3", "2+3", "median"])
+    def test_every_trained_order_accepted(self, tmp_path, order):
+        path = tmp_path / "table.tsv"
+        path.write_text(f"#stemcluster v1 order={order} threshold=-\nab\tab\n", encoding="utf-8")
+        assert read_stem_table(path).order == order
+
+
 class TestClusterReportFiles:
     def test_round_trip_plain(self, tmp_path):
         clusters = cluster_greedy(build_lexicon(["কখ", "কখগ", "ঘঙচ"]))
@@ -241,5 +256,29 @@ class TestClusterReportFiles:
     def test_wrong_shape_rejected(self, tmp_path):
         path = tmp_path / "report.json"
         path.write_text('{"stems": []}', encoding="utf-8")
+        with pytest.raises(FormatError):
+            read_cluster_report(path)
+
+    def test_word_in_two_clusters_rejected(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text(
+            '[{"stem":"কাজ","members":["কাজ"]},{"stem":"কাজ","members":["কাজ"]}]',
+            encoding="utf-8",
+        )
+        with pytest.raises(FormatError) as err:
+            read_cluster_report(path)
+        assert "more than one cluster" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            '{"stem":1,"members":[1,2]}',
+            '{"stem":"ab","members":["ab",2]}',
+            '{"stem":"a","members":"ab"}',
+        ],
+    )
+    def test_non_string_stem_or_members_rejected(self, tmp_path, entry):
+        path = tmp_path / "report.json"
+        path.write_text(f"[{entry}]", encoding="utf-8")
         with pytest.raises(FormatError):
             read_cluster_report(path)
