@@ -52,7 +52,7 @@ import numpy as np
 
 from .clusters import Cluster, select_stem
 from .errors import CapacityError, ConfigError, DegenerateClusteringError
-from .ngrams import FAR_DISTANCE, combined_profile
+from .ngrams import COMBINED, FAR_DISTANCE, gram_index
 from .preprocess import Lexicon
 
 COEFFICIENT = "coefficient"
@@ -156,18 +156,13 @@ def build_similarity_matrix(
 def _coefficient_matrix(words) -> np.ndarray:
     # shared-gram counts via posting lists: a gram seen by m words adds 1 to
     # each of the m*m pairs, so only co-occurring pairs cost anything
-    profiles = [combined_profile(word).grams for word in words]
-    sizes = np.array([len(grams) for grams in profiles], dtype=np.int64)
-    postings: dict[str, list[int]] = {}
-    for index, grams in enumerate(profiles):
-        for gram in grams:
-            postings.setdefault(gram, []).append(index)
-    n = len(profiles)
+    index = gram_index(words, COMBINED)
+    sizes = index.sizes
+    n = len(sizes)
     common = np.zeros((n, n), dtype=np.int32)
-    for posting in postings.values():
+    for posting in index.posting_lists():
         if len(posting) > 1:
-            idx = np.asarray(posting, dtype=np.intp)
-            common[np.ix_(idx, idx)] += 1
+            common[np.ix_(posting, posting)] += 1
     return (2.0 * common) / (sizes[:, None] + sizes[None, :])
 
 

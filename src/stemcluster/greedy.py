@@ -7,10 +7,18 @@ threshold joins it; assigned words leave the pool and the walk repeats
 until the pool is empty.  Because seeds are the shortest available words,
 the seed and the selected stem usually coincide.
 
-An inverted gram index keeps the scan near-linear on real lexicons: a
-word can only clear a positive threshold if it shares at least one gram
-with the seed, so only posting-list neighbours are ever scored.  The
-result is identical to the quadratic scan.
+Seeds are scored from the lexicon's gram index (``ngrams.gram_index``)
+rather than by comparing word pairs.  A word can only clear a positive
+threshold if it shares at least one gram with the seed, and an assigned
+word can never join again, so each seed reads only the *live* part of
+its grams' posting lists: the words not yet assigned.  Reading a posting
+list drops the words assigned since it was last read and keeps the
+shorter list, so no later seed scans them again.  Profiles are sets, so
+the number of times a word occurs across the seed's live postings is
+exactly |seed ∩ word|, the C of 2C/(A+B).  The join test is the same
+float64 expression as the pairwise scan's, over the same word pairs,
+and joiners are taken in ascending lexicon order, so the clusters are
+identical to the quadratic scan's.
 """
 
 from __future__ import annotations
@@ -18,10 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .ap import MEDIAN
 from .clusters import Cluster, select_stem
 from .errors import ConfigError, FormatError, PartitionError
-from .ngrams import BIGRAM, GRAM_ORDERS, ngram_profile
+from .ngrams import BIGRAM, GRAM_ORDERS, gram_index
 from .preprocess import Lexicon, read_text
 
 DEFAULT_THRESHOLD = 0.06
@@ -62,33 +72,31 @@ def cluster_greedy(lexicon: Lexicon, config: GreedyConfig | None = None) -> list
     """Partition the lexicon into clusters, returned in seed order."""
     cfg = config or GreedyConfig()
     words = lexicon.words
-    profiles = [ngram_profile(word, cfg.gram_order).grams for word in words]
-    sizes = [len(grams) for grams in profiles]
+    index = gram_index(words, cfg.gram_order)
+    sizes, grams = index.sizes, index.grams
+    starts = index.word_starts.tolist()
+    # one view per gram, replaced by its live part whenever a seed reads it
+    live = index.posting_lists()
 
-    postings: dict[str, list[int]] = {}
-    for index, grams in enumerate(profiles):
-        for gram in grams:
-            postings.setdefault(gram, []).append(index)
-
-    assigned = bytearray(len(words))
+    # one buffer: byte reads for the walk, a bool array for the masks
+    taken = bytearray(len(words))
+    assigned = np.frombuffer(taken, dtype=bool)
     clusters: list[Cluster] = []
     for seed in range(len(words)):
-        if assigned[seed]:
+        if taken[seed]:
             continue
-        assigned[seed] = 1
+        taken[seed] = 1
         members = [words[seed]]
-        seed_grams = profiles[seed]
-        if seed_grams:
-            candidates: set[int] = set()
-            for gram in seed_grams:
-                candidates.update(postings[gram])
-            for other in sorted(candidates):
-                if assigned[other]:
-                    continue
-                common = len(seed_grams & profiles[other])
-                if 2 * common / (sizes[seed] + sizes[other]) >= cfg.threshold:
-                    assigned[other] = 1
-                    members.append(words[other])
+        hits = []
+        for gram in grams[starts[seed] : starts[seed + 1]].tolist():
+            posting = live[gram]
+            posting = live[gram] = posting[~assigned[posting]]
+            hits.append(posting)
+        if hits:
+            others, common = np.unique(np.concatenate(hits), return_counts=True)
+            joined = others[2 * common / (sizes[seed] + sizes[others]) >= cfg.threshold]
+            assigned[joined] = True
+            members.extend(words[other] for other in joined.tolist())
         clusters.append(Cluster(stem=select_stem(members), members=tuple(members)))
     return clusters
 
@@ -151,6 +159,13 @@ def read_stem_table(path) -> StemTable:
                 threshold = None if value == "-" else float(value)
             except ValueError:
                 raise FormatError(f"bad threshold value {value!r}", path=path, line=1) from None
+            # the range GreedyConfig trains with; also refuses nan and inf
+            if threshold is not None and not 0.0 < threshold < 1.0:
+                raise FormatError(
+                    f"threshold must be '-' or lie strictly between 0 and 1, got {value!r}",
+                    path=path,
+                    line=1,
+                )
     entries: dict[str, str] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line or line.startswith("#"):

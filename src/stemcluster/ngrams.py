@@ -8,12 +8,19 @@ that larger is always more similar, with 200 as the "very far" sentinel.
 It is the scalar definition: the affinity-propagation backend builds its
 median matrix with equivalent array code (see ``ap``), and the tests
 compare every entry of that matrix with this function.
+
+``gram_index`` is the array form of a whole lexicon's profiles that both
+clustering backends read: integer gram ids, profile sizes and posting
+lists, built once per run without keeping a set or string per word.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from statistics import median
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -21,6 +28,7 @@ BIGRAM = "2"
 TRIGRAM = "3"
 COMBINED = "2+3"
 GRAM_ORDERS = (BIGRAM, TRIGRAM, COMBINED)
+_GRAM_SIZES = {BIGRAM: (2,), TRIGRAM: (3,), COMBINED: (2, 3)}
 
 # distance assigned when two words share no character, or disagree by more
 # than the shorter word's length
@@ -69,6 +77,55 @@ def dice(p1: NGramProfile, p2: NGramProfile) -> float:
     if denominator == 0:
         return 0.0
     return 2 * len(p1.grams & p2.grams) / denominator
+
+
+@dataclass(frozen=True)
+class GramIndex:
+    """Distinct-gram profiles of a word list in two compressed-sparse-row forms.
+
+    Gram ids are numbered in first-seen order; the gram strings themselves
+    are not kept.  ``grams[word_starts[i]:word_starts[i + 1]]`` are the ids
+    of word i's grams and ``sizes[i]`` their count, the A of 2C/(A+B).
+    ``postings[gram_starts[g]:gram_starts[g + 1]]`` are the indices of the
+    words holding gram g, ascending.
+    """
+
+    sizes: np.ndarray
+    word_starts: np.ndarray
+    grams: np.ndarray
+    gram_starts: np.ndarray
+    postings: np.ndarray
+
+    def posting_lists(self) -> list[np.ndarray]:
+        """One view into ``postings`` per gram id."""
+        return np.split(self.postings, self.gram_starts[1:-1])
+
+
+def gram_index(words, order: str = BIGRAM) -> GramIndex:
+    """Index the distinct grams of ``words``, the same sets ``ngram_profile`` gives."""
+    if order not in _GRAM_SIZES:
+        raise ConfigError(f"gram order must be one of {GRAM_ORDERS}, got {order!r}")
+    spans = _GRAM_SIZES[order]
+    ids: dict[str, int] = {}
+    grams = array("q")
+    sizes = array("q")
+    for word in words:
+        profile = {word[i : i + n] for n in spans for i in range(len(word) - n + 1)}
+        # the default is evaluated first, so a new gram gets the next id
+        grams.extend([ids.setdefault(gram, len(ids)) for gram in profile])
+        sizes.append(len(profile))
+    gram_count = len(ids)
+    del ids  # the gram strings are not needed past this point
+    sizes = np.frombuffer(sizes, dtype=np.int64)
+    grams = np.frombuffer(grams, dtype=np.int64)
+    word_starts = np.zeros(len(sizes) + 1, dtype=np.intp)
+    np.cumsum(sizes, out=word_starts[1:])
+    gram_starts = np.zeros(gram_count + 1, dtype=np.intp)
+    np.cumsum(np.bincount(grams, minlength=gram_count), out=gram_starts[1:])
+    # a stable sort by gram id keeps each posting list in word order
+    owners = np.repeat(np.arange(len(sizes)), sizes)
+    postings = owners[np.argsort(grams, kind="stable")]
+    return GramIndex(sizes, word_starts, grams, gram_starts, postings)
 
 
 def median_offset_distance(w1: str, w2: str) -> float:

@@ -260,6 +260,18 @@ class TestStem:
         assert err.startswith("error: ")
         assert ":2:" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_table_threshold_is_one_error_line(self, tmp_path, capsys, value):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(f"#stemcluster v1 order=2 threshold={value}\nab\tab\n", encoding="utf-8")
+        assert run_cli("stem", str(bad), "ab") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("error:") == 1
+        assert captured.err.count("\n") == 1
+        assert ":1:" in captured.err
+
 
 class TestEvaluate:
     def test_json_matches_committed_report(self, trained, demo_gold, demo_expected_dir, capsys):

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from stemcluster import (
     GreedyConfig,
@@ -25,6 +25,19 @@ small_word_lists = st.lists(
     st.text(alphabet=st.sampled_from(BANGLA_LETTERS), min_size=2, max_size=8),
     max_size=8,
 )
+
+
+@st.composite
+def overlapping_word_lists(draw):
+    letters = draw(st.lists(st.sampled_from(BANGLA_LETTERS), min_size=3, max_size=6, unique=True))
+    return draw(
+        st.lists(
+            st.text(alphabet=st.sampled_from(letters), min_size=2, max_size=9),
+            min_size=50,
+            max_size=200,
+            unique=True,
+        )
+    )
 
 
 def naive_cluster(lexicon, config):
@@ -115,11 +128,28 @@ class TestClusterGreedy:
         got = [(c.stem, c.members) for c in cluster_greedy(lex, config)]
         assert got == greedy_oracle(lex.words, order, threshold)
 
-    def test_matches_naive_scan_on_midsize_lexicon(self):
+    # order 3 leaves two-letter words without grams: empty seeds, empty hits
+    @pytest.mark.parametrize("order", ["2", "3", "2+3"])
+    @pytest.mark.parametrize("threshold", [0.06, 0.3, 0.6, 0.9])
+    def test_matches_naive_scan_on_midsize_lexicon(self, order, threshold):
         rng = random.Random(17)
         lex = build_lexicon([random_word(rng, 2, 9) for _ in range(250)])
-        config = GreedyConfig()
+        config = GreedyConfig(gram_order=order, threshold=threshold)
         assert cluster_greedy(lex, config) == naive_cluster(lex, config)
+
+    # a few letters make most words share grams, so seeds meet posting lists
+    # already thinned by earlier clusters
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        overlapping_word_lists(),
+        st.sampled_from(["2", "3", "2+3"]),
+        st.floats(0.4, 0.95),
+    )
+    def test_matches_oracle_on_overlapping_lexicons(self, tokens, order, threshold):
+        lex = build_lexicon(tokens)
+        config = GreedyConfig(gram_order=order, threshold=threshold)
+        got = [(c.stem, c.members) for c in cluster_greedy(lex, config)]
+        assert got == greedy_oracle(lex.words, order, threshold)
 
     def test_threshold_sweep_on_demo_is_monotone(self, demo_corpus):
         lex = build_lexicon(tokenize(clean_text(read_text(demo_corpus))))
@@ -230,6 +260,15 @@ class TestStemTable:
             read_stem_table(path)
         assert err.value.line == 1
         assert "banana" in str(err.value)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "1", "1.5", "-0.2"])
+    def test_threshold_outside_training_range_rejected_at_header(self, tmp_path, value):
+        path = tmp_path / "table.tsv"
+        path.write_text(f"#stemcluster v1 order=2 threshold={value}\nab\tab\n", encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            read_stem_table(path)
+        assert err.value.line == 1
+        assert repr(value) in str(err.value)
 
     @pytest.mark.parametrize("order", ["2", "3", "2+3", "median"])
     def test_every_trained_order_accepted(self, tmp_path, order):

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,8 +14,9 @@ from stemcluster import (
     ngram_profile,
 )
 from stemcluster.errors import ConfigError
+from stemcluster.ngrams import gram_index
 
-from helpers import BANGLA_LETTERS, dice_oracle
+from helpers import BANGLA_LETTERS, dice_oracle, distinct_gram_list
 
 words = st.text(alphabet=st.sampled_from(BANGLA_LETTERS), min_size=2, max_size=14)
 orders = st.sampled_from([BIGRAM, TRIGRAM, COMBINED])
@@ -102,6 +105,28 @@ class TestDice:
     def test_matches_pairwise_oracle_exactly(self, w1, w2, order):
         value = dice(ngram_profile(w1, order), ngram_profile(w2, order))
         assert value == dice_oracle(w1, w2, order)
+
+
+class TestGramIndex:
+    @given(st.lists(words, max_size=12), orders)
+    def test_rows_and_postings_hold_every_profile(self, word_list, order):
+        index = gram_index(word_list, order)
+        grams = [set(distinct_gram_list(word, order)) for word in word_list]
+        rows = [
+            set(index.grams[index.word_starts[i] : index.word_starts[i + 1]].tolist())
+            for i in range(len(word_list))
+        ]
+        assert index.sizes.tolist() == [len(g) for g in grams]
+        assert [len(row) for row in rows] == [len(g) for g in grams]
+        for i, j in combinations(range(len(word_list)), 2):
+            assert len(rows[i] & rows[j]) == len(grams[i] & grams[j])
+        for gram in range(len(index.gram_starts) - 1):
+            posting = index.postings[index.gram_starts[gram] : index.gram_starts[gram + 1]]
+            assert posting.tolist() == [i for i, row in enumerate(rows) if gram in row]
+
+    def test_bad_order_rejected(self):
+        with pytest.raises(ConfigError):
+            gram_index(["ab"], "4")
 
 
 class TestMedianOffsetDistance:
