@@ -6,91 +6,40 @@ propagation over a dense similarity matrix (dice or median-offset mode).
 Each cluster's stem is its shortest member.
 """
 
-from .ap import (
-    APConfig,
-    APResult,
-    SimilarityMatrix,
-    ap_stats,
-    build_similarity_matrix,
-    message_passing,
-    run_ap,
-)
-from .clusters import Cluster, read_cluster_report, select_stem, write_cluster_report
-from .errors import (
-    CapacityError,
-    ConfigError,
-    DegenerateClusteringError,
-    FormatError,
-    InputEncodingError,
-    PartitionError,
-    StemclusterError,
-)
-from .evaluation import EvalReport, format_table, load_gold, report_stats, score_clusters
+from .ap import APConfig, build_similarity_matrix, run_ap
+from .clusters import read_cluster_report, write_cluster_report
+from .errors import StemclusterError
+from .evaluation import load_gold, report_stats, score_clusters
 from .greedy import (
     GreedyConfig,
-    StemTable,
-    build_stem_table,
     cluster_greedy,
     read_stem_table,
+    stem_table_from_clusters,
     stem_word,
     write_stem_table,
 )
-from .ngrams import (
-    BIGRAM,
-    COMBINED,
-    TRIGRAM,
-    NGramProfile,
-    combined_profile,
-    dice,
-    extract_ngrams,
-    median_offset_distance,
-    ngram_profile,
-)
-from .preprocess import Lexicon, build_lexicon, clean_text, read_lexicon, tokenize, write_lexicon
+from .ngrams import dice
+from .preprocess import build_lexicon, clean_text, read_lexicon, tokenize, write_lexicon
 
 __version__ = "0.1.0"
 
 __all__ = [
     "APConfig",
-    "APResult",
-    "BIGRAM",
-    "COMBINED",
-    "CapacityError",
-    "Cluster",
-    "ConfigError",
-    "DegenerateClusteringError",
-    "EvalReport",
-    "FormatError",
     "GreedyConfig",
-    "InputEncodingError",
-    "Lexicon",
-    "NGramProfile",
-    "PartitionError",
-    "SimilarityMatrix",
-    "StemTable",
     "StemclusterError",
-    "TRIGRAM",
-    "ap_stats",
     "build_lexicon",
     "build_similarity_matrix",
-    "build_stem_table",
     "clean_text",
     "cluster_greedy",
-    "combined_profile",
     "dice",
-    "extract_ngrams",
-    "format_table",
     "load_gold",
-    "median_offset_distance",
-    "message_passing",
-    "ngram_profile",
     "read_cluster_report",
     "read_lexicon",
     "read_stem_table",
     "report_stats",
     "run_ap",
     "score_clusters",
-    "select_stem",
+    "stem_table_from_clusters",
     "stem_word",
     "tokenize",
     "write_cluster_report",

@@ -52,7 +52,7 @@ import numpy as np
 
 from .clusters import Cluster, select_stem
 from .errors import CapacityError, ConfigError, DegenerateClusteringError
-from .ngrams import COMBINED, FAR_DISTANCE, gram_index
+from .ngrams import COMBINED, FAR_DISTANCE, dice_ratio, gram_index
 from .preprocess import Lexicon
 
 COEFFICIENT = "coefficient"
@@ -163,7 +163,7 @@ def _coefficient_matrix(words) -> np.ndarray:
     for posting in index.posting_lists():
         if len(posting) > 1:
             common[np.ix_(posting, posting)] += 1
-    return (2.0 * common) / (sizes[:, None] + sizes[None, :])
+    return dice_ratio(common, sizes[:, None], sizes[None, :])
 
 
 def _median_matrix(words) -> np.ndarray:
@@ -305,8 +305,3 @@ def run_ap(matrix: SimilarityMatrix, config: APConfig | None = None) -> APResult
         mode=matrix.mode,
     )
 
-
-def ap_stats(clusters) -> dict:
-    """Cluster count and the size of each cluster, in cluster order."""
-    sizes = [len(cluster.members) for cluster in clusters]
-    return {"total_clusters": len(sizes), "sizes": sizes}

@@ -21,11 +21,9 @@ from .clusters import read_cluster_report, write_cluster_report
 from .greedy import (
     DEFAULT_THRESHOLD,
     GreedyConfig,
-    build_stem_table,
     cluster_greedy,
     read_stem_table,
     stem_table_from_clusters,
-    stem_word,
     write_stem_table,
 )
 from .ngrams import COMBINED, GRAM_ORDERS
@@ -114,7 +112,7 @@ def cmd_train(args) -> int:
     if args.backend == "greedy":
         config = GreedyConfig(gram_order=args.ngram, threshold=args.threshold)
         clusters = cluster_greedy(lexicon, config)
-        table = build_stem_table(clusters, config)
+        order, threshold = config.gram_order, config.threshold
         write_cluster_report(args.report, clusters)
     else:
         mode = ap_mod.COEFFICIENT if args.backend == "ap-coeff" else ap_mod.MEDIAN
@@ -128,7 +126,7 @@ def cmd_train(args) -> int:
         result = ap_mod.run_ap(matrix, config)
         clusters = result.clusters
         order = COMBINED if mode == ap_mod.COEFFICIENT else ap_mod.MEDIAN
-        table = stem_table_from_clusters(clusters, order=order, threshold=None)
+        threshold = None
         write_cluster_report(
             args.report,
             clusters,
@@ -141,6 +139,7 @@ def cmd_train(args) -> int:
             print(f"warning: not converged after {result.iterations} iterations", file=sys.stderr)
         print(f"mode={result.mode} converged={str(result.converged).lower()} "
               f"iterations={result.iterations}")
+    table = stem_table_from_clusters(clusters, order=order, threshold=threshold)
     write_stem_table(table, args.stem_table)
     stats = report_stats(clusters)
     print(f"clusters={stats['total_clusters']} reduction_ratio={stats['reduction_ratio']:.4f}")
@@ -156,15 +155,17 @@ def cmd_stem(args) -> int:
     for word in words:
         if not word:
             continue
-        stem = stem_word(table, word)
-        if args.mark_oov and word not in table:
-            print(f"{stem}\t[OOV]")
+        stem = table.get(word)
+        if stem is None:
+            print(f"{word}\t[OOV]" if args.mark_oov else word)
         else:
             print(stem)
     return 0
 
 
 def cmd_evaluate(args) -> int:
+    if args.min_accuracy is not None and not 0.0 <= args.min_accuracy <= 1.0:
+        raise ConfigError(f"--min-accuracy must lie in [0, 1], got {args.min_accuracy}")
     clusters, _meta = read_cluster_report(args.report)
     gold = load_gold(args.gold)
     report = score_clusters(clusters, gold, strict=args.strict)

@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .errors import FormatError
-from .preprocess import read_text
+from .preprocess import parse_word_pairs, read_text
 
 
 @dataclass(frozen=True)
@@ -38,23 +37,7 @@ class EvalReport:
 
 def load_gold(path) -> dict[str, str]:
     """Parse a `word<TAB>label` TSV; conflicting duplicates are rejected."""
-    text = read_text(path)
-    gold: dict[str, str] = {}
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2 or not fields[0] or not fields[1]:
-            raise FormatError(f"expected 'word<TAB>label', got {line!r}", path=path, line=lineno)
-        word, label = fields
-        if word in gold and gold[word] != label:
-            raise FormatError(
-                f"word {word!r} labelled both {gold[word]!r} and {label!r}",
-                path=path,
-                line=lineno,
-            )
-        gold[word] = label
-    return gold
+    return parse_word_pairs(read_text(path), "label", path)
 
 
 def score_clusters(clusters, gold: dict[str, str], strict: bool = False) -> EvalReport:

@@ -15,10 +15,14 @@ its grams' posting lists: the words not yet assigned.  Reading a posting
 list drops the words assigned since it was last read and keeps the
 shorter list, so no later seed scans them again.  Profiles are sets, so
 the number of times a word occurs across the seed's live postings is
-exactly |seed ∩ word|, the C of 2C/(A+B).  The join test is the same
-float64 expression as the pairwise scan's, over the same word pairs,
-and joiners are taken in ascending lexicon order, so the clusters are
-identical to the quadratic scan's.
+exactly |seed ∩ word|, the C of 2C/(A+B).  The join test is
+``ngrams.dice_ratio``, the expression the word-level ``dice`` uses, over
+the same word pairs, and joiners are taken in ascending lexicon order, so
+the clusters are identical to the quadratic scan's.
+
+``stem_table_from_clusters`` is the one stem-table constructor, for every
+backend; ``stem_word`` and the ``stem`` command look words up through
+``StemTable.get``, which cleans a query only when it misses as given.
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ import numpy as np
 from .ap import MEDIAN
 from .clusters import Cluster, select_stem
 from .errors import ConfigError, FormatError, PartitionError
-from .ngrams import BIGRAM, GRAM_ORDERS, gram_index
-from .preprocess import Lexicon, read_text
+from .ngrams import BIGRAM, GRAM_ORDERS, dice_ratio, gram_index
+from .preprocess import Lexicon, clean_text, parse_word_pairs, read_text, tokenize
 
 DEFAULT_THRESHOLD = 0.06
 
@@ -61,11 +65,30 @@ class StemTable:
     entries: dict[str, str]
     order: str
     threshold: float | None
-    lexicon_size: int
-    cluster_count: int
+
+    @property
+    def lexicon_size(self) -> int:
+        return len(self.entries)
+
+    @property
+    def cluster_count(self) -> int:
+        # every stem is a member of its own cluster, so stems are distinct
+        return len(set(self.entries.values()))
+
+    def get(self, word: str) -> str | None:
+        """Stem of ``word``, else of its one cleaned token; None when unknown.
+
+        Only a miss is cleaned, so exact lookups stay a single dict probe.
+        """
+        stem = self.entries.get(word)
+        if stem is None:
+            tokens = tokenize(clean_text(word))
+            if len(tokens) == 1:
+                stem = self.entries.get(tokens[0])
+        return stem
 
     def __contains__(self, word: str) -> bool:
-        return word in self.entries
+        return self.get(word) is not None
 
 
 def cluster_greedy(lexicon: Lexicon, config: GreedyConfig | None = None) -> list[Cluster]:
@@ -94,40 +117,28 @@ def cluster_greedy(lexicon: Lexicon, config: GreedyConfig | None = None) -> list
             hits.append(posting)
         if hits:
             others, common = np.unique(np.concatenate(hits), return_counts=True)
-            joined = others[2 * common / (sizes[seed] + sizes[others]) >= cfg.threshold]
+            joined = others[dice_ratio(common, sizes[seed], sizes[others]) >= cfg.threshold]
             assigned[joined] = True
             members.extend(words[other] for other in joined.tolist())
         clusters.append(Cluster(stem=select_stem(members), members=tuple(members)))
     return clusters
 
 
-def build_stem_table(clusters, config: GreedyConfig | None = None) -> StemTable:
-    cfg = config or GreedyConfig()
-    return stem_table_from_clusters(clusters, order=cfg.gram_order, threshold=cfg.threshold)
-
-
 def stem_table_from_clusters(clusters, *, order: str, threshold: float | None) -> StemTable:
     """Expand clusters into a word -> stem map, refusing overlaps."""
     entries: dict[str, str] = {}
-    count = 0
     for cluster in clusters:
-        count += 1
         for word in cluster.members:
             if word in entries:
                 raise PartitionError(f"word {word!r} appears in more than one cluster")
             entries[word] = cluster.stem
-    return StemTable(
-        entries=entries,
-        order=order,
-        threshold=threshold,
-        lexicon_size=len(entries),
-        cluster_count=count,
-    )
+    return StemTable(entries=entries, order=order, threshold=threshold)
 
 
 def stem_word(table: StemTable, word: str) -> str:
-    """Mapped stem for known words; unknown words come back unchanged."""
-    return table.entries.get(word, word)
+    """Mapped stem for known words (see ``StemTable.get``); others come back unchanged."""
+    stem = table.get(word)
+    return word if stem is None else stem
 
 
 def write_stem_table(table: StemTable, path) -> None:
@@ -141,50 +152,30 @@ def write_stem_table(table: StemTable, path) -> None:
 
 def read_stem_table(path) -> StemTable:
     text = read_text(path)
-    lines = text.split("\n")
-    if not lines or not lines[0].startswith(_TABLE_MAGIC):
-        raise FormatError(f"missing {_TABLE_MAGIC!r} header", path=path, line=1)
-    order = BIGRAM
-    threshold: float | None = None
-    for field in lines[0][len(_TABLE_MAGIC) :].split():
-        key, _, value = field.partition("=")
-        if key == "order":
-            if value not in _TABLE_ORDERS:
-                raise FormatError(
-                    f"order must be one of {_TABLE_ORDERS}, got {value!r}", path=path, line=1
-                )
-            order = value
-        elif key == "threshold":
-            try:
-                threshold = None if value == "-" else float(value)
-            except ValueError:
-                raise FormatError(f"bad threshold value {value!r}", path=path, line=1) from None
-            # the range GreedyConfig trains with; also refuses nan and inf
-            if threshold is not None and not 0.0 < threshold < 1.0:
-                raise FormatError(
-                    f"threshold must be '-' or lie strictly between 0 and 1, got {value!r}",
-                    path=path,
-                    line=1,
-                )
-    entries: dict[str, str] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2 or not fields[0] or not fields[1]:
-            raise FormatError(f"expected 'word<TAB>stem', got {line!r}", path=path, line=lineno)
-        word, stem = fields
-        if word in entries and entries[word] != stem:
-            raise FormatError(
-                f"word {word!r} mapped to both {entries[word]!r} and {stem!r}",
-                path=path,
-                line=lineno,
-            )
-        entries[word] = stem
-    return StemTable(
-        entries=entries,
-        order=order,
-        threshold=threshold,
-        lexicon_size=len(entries),
-        cluster_count=len(set(entries.values())),
-    )
+    header = text.partition("\n")[0]
+    if header != _TABLE_MAGIC and not header.startswith(_TABLE_MAGIC + " "):
+        raise FormatError(f"expected a {_TABLE_MAGIC!r} header", path=path, line=1)
+    fields: dict[str, str] = {}
+    for field in header[len(_TABLE_MAGIC) :].split():
+        key, sep, value = field.partition("=")
+        if not sep or key not in ("order", "threshold") or key in fields:
+            raise FormatError(f"bad header field {field!r}", path=path, line=1)
+        fields[key] = value
+    order = fields.get("order", BIGRAM)
+    if order not in _TABLE_ORDERS:
+        raise FormatError(f"order must be one of {_TABLE_ORDERS}, got {order!r}", path=path, line=1)
+    value = fields.get("threshold", "-")
+    try:
+        threshold = None if value == "-" else float(value)
+    except ValueError:
+        raise FormatError(f"bad threshold value {value!r}", path=path, line=1) from None
+    # the range GreedyConfig trains with; also refuses nan and inf
+    if threshold is not None and not 0.0 < threshold < 1.0:
+        raise FormatError(
+            f"threshold must be '-' or lie strictly between 0 and 1, got {value!r}",
+            path=path,
+            line=1,
+        )
+    # the header is a '#' line, so the row reader skips it
+    entries = parse_word_pairs(text, "stem", path)
+    return StemTable(entries=entries, order=order, threshold=threshold)

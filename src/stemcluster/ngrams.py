@@ -1,7 +1,10 @@
-"""Character n-gram profiles and the two word-pair similarity measures.
+"""Character n-gram sets and the two word-pair similarity measures.
 
-``dice`` is the set-overlap coefficient 2C/(A+B) over distinct n-gram
-sets.  ``median_offset_distance`` is the alternative measure fed to the
+``gram_set`` defines a word's distinct grams for a gram order (bigrams,
+trigrams, or both pooled), and ``dice_ratio`` is the one 2C/(A+B)
+expression: the word-level ``dice``, the greedy join test and the
+affinity-propagation coefficient matrix all call it.
+``median_offset_distance`` is the alternative measure fed to the
 median-similarity clustering mode: the median absolute difference of
 first-occurrence positions of the characters two words share, negated so
 that larger is always more similar, with 200 as the "very far" sentinel.
@@ -9,9 +12,9 @@ It is the scalar definition: the affinity-propagation backend builds its
 median matrix with equivalent array code (see ``ap``), and the tests
 compare every entry of that matrix with this function.
 
-``gram_index`` is the array form of a whole lexicon's profiles that both
-clustering backends read: integer gram ids, profile sizes and posting
-lists, built once per run without keeping a set or string per word.
+``gram_index`` is the array form of a whole lexicon's gram sets that both
+clustering backends read: integer gram ids, set sizes and posting lists,
+built once per run without keeping a set or string per word.
 """
 
 from __future__ import annotations
@@ -35,48 +38,28 @@ _GRAM_SIZES = {BIGRAM: (2,), TRIGRAM: (3,), COMBINED: (2, 3)}
 FAR_DISTANCE = 200.0
 
 
-@dataclass(frozen=True)
-class NGramProfile:
-    word: str
-    grams: frozenset[str]
-    order: str
+def gram_set(word: str, order: str = BIGRAM) -> set[str]:
+    """The distinct contiguous 2- and/or 3-code-point substrings of ``word``.
 
-
-def extract_ngrams(word: str, n: int) -> frozenset[str]:
-    """All distinct contiguous n-code-point substrings of ``word``.
-
-    Empty for words shorter than ``n``.  Only n = 2 and n = 3 are defined.
+    Empty for words shorter than every gram size of ``order``.
     """
-    if n not in (2, 3):
-        raise ConfigError(f"gram size must be 2 or 3, got {n}")
-    return frozenset(word[i : i + n] for i in range(len(word) - n + 1))
-
-
-def ngram_profile(word: str, order: str = BIGRAM) -> NGramProfile:
-    if order == BIGRAM:
-        grams = extract_ngrams(word, 2)
-    elif order == TRIGRAM:
-        grams = extract_ngrams(word, 3)
-    elif order == COMBINED:
-        grams = extract_ngrams(word, 2) | extract_ngrams(word, 3)
-    else:
+    spans = _GRAM_SIZES.get(order)
+    if spans is None:
         raise ConfigError(f"gram order must be one of {GRAM_ORDERS}, got {order!r}")
-    return NGramProfile(word=word, grams=grams, order=order)
+    return {word[i : i + n] for n in spans for i in range(len(word) - n + 1)}
 
 
-def combined_profile(word: str) -> NGramProfile:
-    """Bigrams and trigrams pooled into one profile."""
-    return ngram_profile(word, COMBINED)
+def dice_ratio(common, size_a, size_b):
+    """2C/(A+B): the one dice expression, on scalars or numpy arrays alike."""
+    return 2.0 * common / (size_a + size_b)
 
 
-def dice(p1: NGramProfile, p2: NGramProfile) -> float:
-    """2C/(A+B) over distinct grams; 0.0 when both profiles are empty."""
-    if p1.order != p2.order:
-        raise ConfigError(f"cannot compare profiles of order {p1.order!r} and {p2.order!r}")
-    denominator = len(p1.grams) + len(p2.grams)
-    if denominator == 0:
+def dice(w1: str, w2: str, order: str = BIGRAM) -> float:
+    """Dice over the two words' distinct grams; 0.0 when both sets are empty."""
+    g1, g2 = gram_set(w1, order), gram_set(w2, order)
+    if not g1 and not g2:
         return 0.0
-    return 2 * len(p1.grams & p2.grams) / denominator
+    return dice_ratio(len(g1 & g2), len(g1), len(g2))
 
 
 @dataclass(frozen=True)
@@ -102,15 +85,13 @@ class GramIndex:
 
 
 def gram_index(words, order: str = BIGRAM) -> GramIndex:
-    """Index the distinct grams of ``words``, the same sets ``ngram_profile`` gives."""
-    if order not in _GRAM_SIZES:
-        raise ConfigError(f"gram order must be one of {GRAM_ORDERS}, got {order!r}")
-    spans = _GRAM_SIZES[order]
+    """Index the ``gram_set`` of every word in ``words``."""
+    gram_set("", order)  # validates the order even when ``words`` is empty
     ids: dict[str, int] = {}
     grams = array("q")
     sizes = array("q")
     for word in words:
-        profile = {word[i : i + n] for n in spans for i in range(len(word) - n + 1)}
+        profile = gram_set(word, order)
         # the default is evaluated first, so a new gram gets the next id
         grams.extend([ids.setdefault(gram, len(ids)) for gram in profile])
         sizes.append(len(profile))

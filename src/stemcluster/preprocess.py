@@ -91,6 +91,29 @@ def read_text(path) -> str:
         raise InputEncodingError(f"{path}: not valid UTF-8 ({exc})") from None
 
 
+def parse_word_pairs(text: str, value: str, path) -> dict[str, str]:
+    """Rows of ``word<TAB>value`` from a file's text; blank and '#' lines are skipped.
+
+    ``value`` names the second column in messages.  A word given two
+    different values is rejected at the second row.
+    """
+    pairs: dict[str, str] = {}
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2 or not fields[0] or not fields[1]:
+            raise FormatError(f"expected 'word<TAB>{value}', got {line!r}", path=path, line=lineno)
+        word, given = fields
+        if pairs.setdefault(word, given) != given:
+            raise FormatError(
+                f"word {word!r} has two {value}s, {pairs[word]!r} and {given!r}",
+                path=path,
+                line=lineno,
+            )
+    return pairs
+
+
 def write_lexicon(lexicon: Lexicon, path, stats: bool = False) -> None:
     """One word per line in lexicon order, LF endings, optional stats header."""
     lines = []

@@ -15,15 +15,12 @@ import numpy as np
 
 from stemcluster import (
     APConfig,
-    Cluster,
     GreedyConfig,
     build_lexicon,
-    build_stem_table,
     cluster_greedy,
-    format_table,
-    ngram_profile,
+    dice,
     score_clusters,
-    select_stem,
+    stem_table_from_clusters,
     write_stem_table,
 )
 from stemcluster.ap import (
@@ -35,10 +32,10 @@ from stemcluster.ap import (
     run_ap,
 )
 from stemcluster.cli import main as cli_main
-from stemcluster.clusters import read_cluster_report, write_cluster_report
+from stemcluster.clusters import Cluster, read_cluster_report, write_cluster_report
 from stemcluster.errors import CapacityError
-from stemcluster.evaluation import report_stats
-from stemcluster.ngrams import dice
+from stemcluster.evaluation import format_table, report_stats
+from stemcluster.ngrams import gram_set
 from stemcluster.preprocess import clean_text, read_lexicon, read_text, tokenize
 
 from helpers import (
@@ -68,19 +65,19 @@ def test_criterion_1_dice_property_suite():
         w1 = random_word(rng, 2, 12)
         w2 = random_word(rng, 2, 12)
         order = orders[case % 3]
-        p1 = ngram_profile(w1, order)
-        p2 = ngram_profile(w2, order)
-        value = dice(p1, p2)
-        if value != dice(p2, p1):
+        g1 = gram_set(w1, order)
+        g2 = gram_set(w2, order)
+        value = dice(w1, w2, order)
+        if value != dice(w2, w1, order):
             failures.append(f"asymmetry for {w1!r}/{w2!r}")
         if not 0.0 <= value <= 1.0:
             failures.append(f"out of range for {w1!r}/{w2!r}")
-        if p1.grams and dice(p1, p1) != 1.0:
+        if g1 and dice(w1, w1, order) != 1.0:
             failures.append(f"self-similarity != 1 for {w1!r}")
         oracle = dice_oracle(w1, w2, order)
         if value != oracle:
             failures.append(f"oracle mismatch for {w1!r}/{w2!r}: {value} vs {oracle}")
-        if not (p1.grams & p2.grams) and value != 0.0:
+        if not (g1 & g2) and value != 0.0:
             failures.append(f"disjoint pair not 0 for {w1!r}/{w2!r}")
         if failures:
             break
@@ -92,10 +89,9 @@ def test_criterion_1_dice_property_suite():
 
 def test_criterion_2_worked_examples():
     failures: list[str] = []
-    p1 = ngram_profile("বাংলা")
-    p2 = ngram_profile("বাংলাদেশ")
-    if dice(p1, p2) != 8 / 11:
-        failures.append(f"dice gave {dice(p1, p2)}, hand enumeration gives 8/11")
+    value = dice("বাংলা", "বাংলাদেশ")
+    if value != 8 / 11:
+        failures.append(f"dice gave {value}, hand enumeration gives 8/11")
     lex = build_lexicon(["বাংলা", "বাংলাদেশ"])
     clusters = cluster_greedy(lex, GreedyConfig(threshold=0.06))
     if len(clusters) != 1:
@@ -235,7 +231,9 @@ def test_criterion_6_capacity_guard_and_scale(tmp_path):
     table_scale = synthetic_lexicon(10_133, seed=11)
     config = GreedyConfig()
     clusters = cluster_greedy(table_scale, config)
-    table = build_stem_table(clusters, config)
+    table = stem_table_from_clusters(
+        clusters, order=config.gram_order, threshold=config.threshold
+    )
     write_stem_table(table, tmp_path / "scale.tsv")
     write_cluster_report(tmp_path / "scale.json", clusters)
     elapsed = time.perf_counter() - started

@@ -11,13 +11,13 @@ from stemcluster.ap import (
     COEFFICIENT,
     MEDIAN,
     SimilarityMatrix,
-    ap_stats,
     build_similarity_matrix,
     message_passing,
     run_ap,
 )
 from stemcluster.errors import CapacityError, ConfigError, DegenerateClusteringError
-from stemcluster.ngrams import combined_profile, dice, median_offset_distance
+from stemcluster.evaluation import report_stats
+from stemcluster.ngrams import COMBINED, dice, median_offset_distance
 
 from helpers import best_net_similarity, net_similarity, random_word
 
@@ -95,7 +95,7 @@ class TestSimilarityMatrixType:
 class TestBuildSimilarityMatrix:
     def test_two_point_construction_with_fixed_preference(self):
         lex = build_lexicon(["কখগ", "কখগঘ"])
-        value = dice(combined_profile("কখগ"), combined_profile("কখগঘ"))
+        value = dice("কখগ", "কখগঘ", COMBINED)
         matrix = build_similarity_matrix(lex, COEFFICIENT, APConfig(preference=0.25))
         assert np.array_equal(matrix.s, np.array([[0.25, value], [value, 0.25]]))
 
@@ -103,7 +103,7 @@ class TestBuildSimilarityMatrix:
         lex = build_lexicon(["কখ", "কখগ", "ঘঙচ"])
         matrix = build_similarity_matrix(lex, COEFFICIENT)
         pairwise = [
-            dice(combined_profile(a), combined_profile(b))
+            dice(a, b, COMBINED)
             for i, a in enumerate(lex.words)
             for b in lex.words[i + 1 :]
         ]
@@ -113,12 +113,10 @@ class TestBuildSimilarityMatrix:
         rng = random.Random(5)
         lex = build_lexicon([random_word(rng, 2, 8) for _ in range(40)])
         matrix = build_similarity_matrix(lex, COEFFICIENT)
-        profiles = [combined_profile(w) for w in lex.words]
-        n = len(lex.words)
-        for i in range(n):
-            for j in range(n):
+        for i, a in enumerate(lex.words):
+            for j, b in enumerate(lex.words):
                 if i != j:
-                    assert matrix.s[i, j] == dice(profiles[i], profiles[j])
+                    assert matrix.s[i, j] == dice(a, b, COMBINED)
 
     def test_median_entries_match_scalar_distance(self):
         rng = random.Random(6)
@@ -271,4 +269,9 @@ class TestApStats:
     def test_singletons(self):
         matrix = matrix_from(random_similarity(np.random.default_rng(2), 3, preference=5.0))
         result = run_ap(matrix)
-        assert ap_stats(result.clusters) == {"total_clusters": 3, "sizes": [1, 1, 1]}
+        assert report_stats(result.clusters) == {
+            "unique_tokens": 3,
+            "total_clusters": 3,
+            "size_histogram": {1: 3},
+            "reduction_ratio": 1.0,
+        }

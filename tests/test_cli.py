@@ -260,6 +260,21 @@ class TestStem:
         assert err.startswith("error: ")
         assert ":2:" in err
 
+    def test_missed_query_is_cleaned_once(self, trained, capsys):
+        code = run_cli("stem", str(trained["table"]), "কাজের,", "কাজ, বই", "--mark-oov")
+        assert code == 0
+        assert capsys.readouterr().out == "কাজ\nকাজ, বই\t[OOV]\n"
+
+    def test_bad_table_header_is_one_error_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("#stemcluster v1 ordr=3 bogus\nab\tab\n", encoding="utf-8")
+        assert run_cli("stem", str(bad), "ab") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("error:") == 1
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_table_threshold_is_one_error_line(self, tmp_path, capsys, value):
         bad = tmp_path / "bad.tsv"
@@ -296,6 +311,19 @@ class TestEvaluate:
         )
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.1", "1.5"])
+    def test_min_accuracy_outside_unit_interval_is_usage_error(
+        self, trained, demo_gold, capsys, value
+    ):
+        code = run_cli(
+            "evaluate", str(trained["report"]), str(demo_gold), f"--min-accuracy={value}"
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
     def test_strict_mode_flag(self, trained, demo_gold, capsys):
         assert run_cli("evaluate", str(trained["report"]), str(demo_gold), "--strict") == 0

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from stemcluster import Cluster, EvalReport, format_table, load_gold, report_stats, score_clusters
+from stemcluster import load_gold, report_stats, score_clusters
+from stemcluster.clusters import Cluster
+from stemcluster.evaluation import EvalReport, format_table
 from stemcluster.errors import FormatError
 
 from helpers import score_oracle

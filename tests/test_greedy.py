@@ -5,18 +5,16 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from stemcluster import (
     GreedyConfig,
-    Cluster,
     build_lexicon,
-    build_stem_table,
     cluster_greedy,
+    dice,
     read_stem_table,
-    select_stem,
+    stem_table_from_clusters,
     stem_word,
     write_stem_table,
 )
-from stemcluster.clusters import read_cluster_report, write_cluster_report
+from stemcluster.clusters import Cluster, read_cluster_report, select_stem, write_cluster_report
 from stemcluster.errors import ConfigError, FormatError, PartitionError
-from stemcluster.ngrams import dice, ngram_profile
 from stemcluster.preprocess import clean_text, read_text, tokenize
 
 from helpers import BANGLA_LETTERS, greedy_oracle, random_word
@@ -40,9 +38,12 @@ def overlapping_word_lists(draw):
     )
 
 
+def default_table(clusters):
+    return stem_table_from_clusters(clusters, order="2", threshold=0.06)
+
+
 def naive_cluster(lexicon, config):
     """Straight quadratic scan, no inverted index."""
-    profiles = {w: ngram_profile(w, config.gram_order) for w in lexicon.words}
     pending = list(lexicon.words)
     clusters = []
     while pending:
@@ -50,7 +51,7 @@ def naive_cluster(lexicon, config):
         members = [seed]
         remaining = []
         for word in pending:
-            if dice(profiles[seed], profiles[word]) >= config.threshold:
+            if dice(seed, word, config.gram_order) >= config.threshold:
                 members.append(word)
             else:
                 remaining.append(word)
@@ -183,13 +184,13 @@ class TestSelectStem:
 class TestStemTable:
     def test_expansion(self):
         clusters = [Cluster(stem="ab", members=("ab", "abc"))]
-        table = build_stem_table(clusters)
+        table = default_table(clusters)
         assert table.entries == {"ab": "ab", "abc": "ab"}
         assert table.lexicon_size == 2
         assert table.cluster_count == 1
 
     def test_empty(self):
-        table = build_stem_table([])
+        table = default_table([])
         assert table.entries == {}
         assert table.cluster_count == 0
 
@@ -199,16 +200,16 @@ class TestStemTable:
             Cluster(stem="abc", members=("abc",)),
         ]
         with pytest.raises(PartitionError):
-            build_stem_table(clusters)
+            default_table(clusters)
 
     def test_stems_self_map(self):
         clusters = cluster_greedy(build_lexicon(["কখ", "কখগ", "ঘঙচ"]))
-        table = build_stem_table(clusters)
+        table = default_table(clusters)
         for stem in set(table.entries.values()):
             assert table.entries[stem] == stem
 
     def test_lookup(self):
-        table = build_stem_table([Cluster(stem="ab", members=("ab", "abc"))])
+        table = default_table([Cluster(stem="ab", members=("ab", "abc"))])
         assert stem_word(table, "abc") == "ab"
         assert stem_word(table, "ab") == "ab"
         assert stem_word(table, "zzz") == "zzz"
@@ -216,13 +217,15 @@ class TestStemTable:
     def test_round_trip(self, tmp_path):
         lex = build_lexicon(["কখ", "কখগ", "ঘঙ", "ঘঙচদ"])
         config = GreedyConfig(gram_order="2+3", threshold=0.25)
-        table = build_stem_table(cluster_greedy(lex, config), config)
+        table = stem_table_from_clusters(
+            cluster_greedy(lex, config), order=config.gram_order, threshold=config.threshold
+        )
         path = tmp_path / "table.tsv"
         write_stem_table(table, path)
         assert read_stem_table(path) == table
 
     def test_file_rows_sorted_by_word_with_header(self, tmp_path):
-        table = build_stem_table([Cluster(stem="ab", members=("ab", "abc"))])
+        table = default_table([Cluster(stem="ab", members=("ab", "abc"))])
         path = tmp_path / "table.tsv"
         write_stem_table(table, path)
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -269,6 +272,33 @@ class TestStemTable:
             read_stem_table(path)
         assert err.value.line == 1
         assert repr(value) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "#stemcluster v12 order=2 threshold=0.06",
+            "#stemcluster v1order=2 threshold=0.06",
+            "#stemcluster v1 ordr=3 bogus",
+            "#stemcluster v1 order=2 bogus threshold=0.06",
+            "#stemcluster v1 order=2 order=3 threshold=0.06",
+            "#stemcluster v1 order=2 threshold=0.06 threshold=0.06",
+        ],
+    )
+    def test_header_needs_exact_magic_and_known_unique_fields(self, tmp_path, header):
+        path = tmp_path / "table.tsv"
+        path.write_text(f"{header}\nab\tab\n", encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            read_stem_table(path)
+        assert err.value.line == 1
+
+    def test_missed_query_is_looked_up_by_its_one_cleaned_token(self):
+        table = default_table([Cluster(stem="কাজ", members=("কাজ", "কাজের"))])
+        assert stem_word(table, "কাজের,") == "কাজ"
+        assert "কাজের," in table
+        # two tokens, or none, stay unknown and come back unchanged
+        assert stem_word(table, "কাজ, কাজের") == "কাজ, কাজের"
+        assert stem_word(table, "abc") == "abc"
+        assert "কাজ, কাজের" not in table
 
     @pytest.mark.parametrize("order", ["2", "3", "2+3", "median"])
     def test_every_trained_order_accepted(self, tmp_path, order):

@@ -1,20 +1,20 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from stemcluster import (
+from stemcluster import dice
+from stemcluster.errors import ConfigError
+from stemcluster.ngrams import (
     BIGRAM,
     COMBINED,
     TRIGRAM,
-    combined_profile,
-    dice,
-    extract_ngrams,
+    dice_ratio,
+    gram_index,
+    gram_set,
     median_offset_distance,
-    ngram_profile,
 )
-from stemcluster.errors import ConfigError
-from stemcluster.ngrams import gram_index
 
 from helpers import BANGLA_LETTERS, dice_oracle, distinct_gram_list
 
@@ -24,87 +24,89 @@ orders = st.sampled_from([BIGRAM, TRIGRAM, COMBINED])
 
 class TestExtractNgrams:
     def test_bigrams(self):
-        assert extract_ngrams("abc", 2) == {"ab", "bc"}
+        assert gram_set("abc", BIGRAM) == {"ab", "bc"}
 
     def test_duplicates_collapse(self):
-        assert extract_ngrams("aaa", 2) == {"aa"}
+        assert gram_set("aaa", BIGRAM) == {"aa"}
 
     def test_bangla_bigrams_hand_enumerated(self):
         # word = 5 code points; positions 0..3 give 4 distinct bigrams
         word = "বাংলা"
         assert len(word) == 5
-        grams = extract_ngrams(word, 2)
+        grams = gram_set(word, BIGRAM)
         assert grams == {"বা", "াং", "ংল", "লা"}
         assert len(grams) == 4
 
     def test_short_word_has_no_trigrams(self):
-        assert extract_ngrams("ab", 3) == frozenset()
+        assert gram_set("ab", TRIGRAM) == set()
 
     def test_bad_order_rejected(self):
         with pytest.raises(ConfigError):
-            extract_ngrams("abcd", 4)
+            gram_set("abcd", "4")
 
-    @given(words, st.sampled_from([2, 3]))
-    def test_size_bound(self, word, n):
-        assert len(extract_ngrams(word, n)) <= max(len(word) - n + 1, 0)
+    @given(words, st.sampled_from([BIGRAM, TRIGRAM]))
+    def test_size_bound(self, word, order):
+        assert len(gram_set(word, order)) <= max(len(word) - int(order) + 1, 0)
 
 
 class TestCombinedProfile:
     def test_union_of_both_orders(self):
-        assert combined_profile("abc").grams == {"ab", "bc", "abc"}
+        assert gram_set("abc", COMBINED) == {"ab", "bc", "abc"}
 
     def test_length_two_word(self):
-        assert combined_profile("ab").grams == {"ab"}
+        assert gram_set("ab", COMBINED) == {"ab"}
 
     def test_repeating_word_hand_enumerated(self):
-        assert combined_profile("abab").grams == {"ab", "ba", "aba", "bab"}
+        assert gram_set("abab", COMBINED) == {"ab", "ba", "aba", "bab"}
 
 
 class TestDice:
     def test_identical_profiles(self):
-        p = ngram_profile("বাংলা")
-        assert dice(p, p) == 1.0
+        assert dice("বাংলা", "বাংলা") == 1.0
 
     def test_disjoint_profiles(self):
-        assert dice(ngram_profile("abab"), ngram_profile("cdcd")) == 0.0
+        assert dice("abab", "cdcd") == 0.0
 
     def test_worked_example(self):
         # 4 distinct bigrams vs 7, sharing all 4 -> 2*4/(4+7)
-        p1 = ngram_profile("বাংলা")
-        p2 = ngram_profile("বাংলাদেশ")
-        assert p2.grams == {"বা", "াং", "ংল", "লা", "াদ", "দে", "েশ"}
-        assert len(p1.grams & p2.grams) == 4
-        assert dice(p1, p2) == 8 / 11
+        g1 = gram_set("বাংলা")
+        g2 = gram_set("বাংলাদেশ")
+        assert g2 == {"বা", "াং", "ংল", "লা", "াদ", "দে", "েশ"}
+        assert len(g1 & g2) == 4
+        assert dice("বাংলা", "বাংলাদেশ") == 8 / 11
 
     def test_both_empty_profiles(self):
-        p1 = ngram_profile("ab", TRIGRAM)
-        p2 = ngram_profile("cd", TRIGRAM)
-        assert dice(p1, p2) == 0.0
+        assert dice("ab", "cd", TRIGRAM) == 0.0
 
-    def test_mismatched_orders_rejected(self):
+    def test_bad_order_rejected(self):
         with pytest.raises(ConfigError):
-            dice(ngram_profile("abc", BIGRAM), ngram_profile("abc", TRIGRAM))
+            dice("abc", "abc", "4")
 
     @given(words, words, orders)
     def test_symmetric(self, w1, w2, order):
-        p1, p2 = ngram_profile(w1, order), ngram_profile(w2, order)
-        assert dice(p1, p2) == dice(p2, p1)
+        assert dice(w1, w2, order) == dice(w2, w1, order)
 
     @given(words, words, orders)
     def test_range(self, w1, w2, order):
-        value = dice(ngram_profile(w1, order), ngram_profile(w2, order))
+        value = dice(w1, w2, order)
         assert 0.0 <= value <= 1.0
 
     @given(words, orders)
     def test_self_similarity(self, word, order):
-        p = ngram_profile(word, order)
-        if p.grams:
-            assert dice(p, p) == 1.0
+        if gram_set(word, order):
+            assert dice(word, word, order) == 1.0
 
     @given(words, words, orders)
     def test_matches_pairwise_oracle_exactly(self, w1, w2, order):
-        value = dice(ngram_profile(w1, order), ngram_profile(w2, order))
-        assert value == dice_oracle(w1, w2, order)
+        assert dice(w1, w2, order) == dice_oracle(w1, w2, order)
+
+    def test_ratio_on_arrays_is_scalar_division_bit_for_bit(self):
+        # the backends pass int64 count and size arrays; dice passes ints
+        sizes = np.arange(1, 300)
+        for common in range(0, 300, 23):
+            got = dice_ratio(np.int64(common), sizes[:, None], sizes[None, :])
+            want = [[2 * common / (a + b) for b in range(1, 300)] for a in range(1, 300)]
+            assert got.tolist() == want
 
 
 class TestGramIndex:
