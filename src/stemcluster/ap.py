@@ -4,7 +4,8 @@ Works on a dense, symmetric word-pair similarity matrix built in one of
 two modes: ``coefficient`` (dice over pooled bigram+trigram profiles,
 values in [0, 1]) or ``median`` (negated median character-offset
 distance, values in [-200, 0]).  The diagonal carries the preference;
-higher preferences buy more clusters.
+higher preferences buy more clusters.  The per-mode range check and the
+median preference both read ``SimilarityMatrix.off_diagonal``, a view.
 
 The median matrix is built with array code rather than one
 ``ngrams.median_offset_distance`` call per pair.  A first-occurrence
@@ -29,7 +30,7 @@ then availabilities
 
 each blended as damping*old + (1-damping)*new.  Iteration stops once the
 exemplar set {k : r(k,k) + a(k,k) > 0} has been stable for a window of
-iterations, or at the iteration cap.
+15 iterations, or at the iteration cap.
 
 Exactly tied instances (e.g. two identical points with equal preference)
 make the messages perfectly symmetric and every self-belief converges to
@@ -52,12 +53,13 @@ import numpy as np
 
 from .clusters import Cluster, select_stem
 from .errors import CapacityError, ConfigError, DegenerateClusteringError
-from .ngrams import COMBINED, FAR_DISTANCE, dice_ratio, gram_index
+from .ngrams import COMBINED, FAR_DISTANCE, MEDIAN, dice_ratio, gram_index
 from .preprocess import Lexicon
 
 COEFFICIENT = "coefficient"
-MEDIAN = "median"
-MODES = (COEFFICIENT, MEDIAN)
+# the closed range every off-diagonal similarity of a mode lies in
+_RANGES = {COEFFICIENT: (0.0, 1.0), MEDIAN: (-FAR_DISTANCE, 0.0)}
+MODES = tuple(_RANGES)
 
 MEDIAN_PREFERENCE = "median"
 
@@ -69,7 +71,6 @@ class APConfig:
     damping: float = 0.5
     preference: float | str = MEDIAN_PREFERENCE
     max_iterations: int = 200
-    convergence_window: int = 15
     max_points: int = 20000
 
     def __post_init__(self):
@@ -84,8 +85,6 @@ class APConfig:
             raise ConfigError(f"preference must be a finite number, got {self.preference}")
         if self.max_iterations < 1:
             raise ConfigError("max_iterations must be at least 1")
-        if self.convergence_window < 1:
-            raise ConfigError("convergence_window must be at least 1")
         if self.max_points < 2:
             raise ConfigError("max_points must be at least 2")
 
@@ -98,7 +97,7 @@ class SimilarityMatrix:
 
     def __post_init__(self):
         self.words = tuple(self.words)
-        self.s = np.asarray(self.s, dtype=np.float64)
+        self.s = np.ascontiguousarray(self.s, dtype=np.float64)
         n = len(self.words)
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
@@ -106,13 +105,16 @@ class SimilarityMatrix:
             raise ConfigError(f"similarity matrix must be {n}x{n}, got {self.s.shape}")
         if not np.array_equal(self.s, self.s.T):
             raise ConfigError("similarity matrix must be symmetric")
-        off_diagonal = self.s[~np.eye(n, dtype=bool)]
-        if self.mode == COEFFICIENT:
-            ok = np.all((off_diagonal >= 0.0) & (off_diagonal <= 1.0))
-        else:
-            ok = np.all((off_diagonal >= -200.0) & (off_diagonal <= 0.0))
-        if not ok:
+        low, high = _RANGES[self.mode]
+        off_diagonal = self.off_diagonal()
+        if not np.all((off_diagonal >= low) & (off_diagonal <= high)):
             raise ConfigError(f"off-diagonal similarities out of range for mode {self.mode!r}")
+
+    def off_diagonal(self) -> np.ndarray:
+        """The off-diagonal entries, row by row, as an [n-1, n] view on ``s``."""
+        # in the flat matrix, the n entries after each diagonal one but the last are off it
+        n = len(self.words)
+        return self.s.reshape(-1)[1:].reshape(max(n - 1, 0), n + 1)[:, :n]
 
 
 @dataclass
@@ -144,13 +146,12 @@ def build_similarity_matrix(
         s = _median_matrix(words)
     else:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    off_diagonal = s[~np.eye(n, dtype=bool)]
-    if cfg.preference == MEDIAN_PREFERENCE:
-        preference = float(np.median(off_diagonal))
-    else:
-        preference = float(cfg.preference)
-    np.fill_diagonal(s, preference)
-    return SimilarityMatrix(words=words, s=s, mode=mode)
+    matrix = SimilarityMatrix(words=words, s=s, mode=mode)
+    preference = cfg.preference
+    if preference == MEDIAN_PREFERENCE:
+        preference = np.median(matrix.off_diagonal())
+    np.fill_diagonal(matrix.s, preference)
+    return matrix
 
 
 def _coefficient_matrix(words) -> np.ndarray:
@@ -277,9 +278,7 @@ def run_ap(matrix: SimilarityMatrix, config: APConfig | None = None) -> APResult
     if scale == 0.0:
         scale = 1.0
     S[np.arange(n), np.arange(n)] -= np.arange(n) * scale * _TIE_BREAK
-    R, A, iterations, converged = message_passing(
-        S, cfg.damping, cfg.max_iterations, cfg.convergence_window
-    )
+    R, A, iterations, converged = message_passing(S, cfg.damping, cfg.max_iterations)
     beliefs = R.diagonal() + A.diagonal()
     exemplar_indices = np.flatnonzero(beliefs > 0.0)
     if exemplar_indices.size == 0:

@@ -32,10 +32,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .ap import MEDIAN
 from .clusters import Cluster, select_stem
 from .errors import ConfigError, FormatError, PartitionError
-from .ngrams import BIGRAM, GRAM_ORDERS, dice_ratio, gram_index
+from .ngrams import BIGRAM, GRAM_ORDERS, MEDIAN, dice_ratio, gram_index
 from .preprocess import Lexicon, clean_text, parse_word_pairs, read_text, tokenize
 
 DEFAULT_THRESHOLD = 0.06

@@ -31,6 +31,8 @@ BIGRAM = "2"
 TRIGRAM = "3"
 COMBINED = "2+3"
 GRAM_ORDERS = (BIGRAM, TRIGRAM, COMBINED)
+# the name of the median-offset measure, as an AP mode and a stem-table order
+MEDIAN = "median"
 _GRAM_SIZES = {BIGRAM: (2,), TRIGRAM: (3,), COMBINED: (2, 3)}
 
 # distance assigned when two words share no character, or disagree by more

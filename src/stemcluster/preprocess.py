@@ -5,8 +5,8 @@ Cleaning keeps only code points from the Bengali Unicode block
 space so that ``word1,word2`` splits into two tokens instead of fusing.
 Zero-width (non-)joiners are dropped outright, since turning them into
 separators would break conjunct spellings apart.  Bengali digits
-(U+09E6-U+09EF) live inside the block but are stripped by default because
-they are digits, not word material.
+(U+09E6-U+09EF) live inside the block but are stripped because they are
+digits, not word material.
 """
 
 from __future__ import annotations
@@ -17,12 +17,8 @@ from pathlib import Path
 
 from .errors import FormatError, InputEncodingError
 
-BENGALI_FIRST = 0x0980
-BENGALI_LAST = 0x09FF
-
 _JOINERS = re.compile("[‌‍]")
 _DROP_RUNS = re.compile("[^ঀ-৥ৰ-৿]+")          # digits stripped
-_DROP_RUNS_KEEP_DIGITS = re.compile("[^ঀ-৿]+")
 _STATS_LINE = re.compile(r"#stats total=(\d+) unique=(\d+)\s*$")
 
 
@@ -33,40 +29,44 @@ def lexicon_sort_key(word: str) -> tuple[int, str]:
 
 @dataclass(frozen=True)
 class Lexicon:
-    """Ordered, deduplicated word list plus raw-token bookkeeping.
+    """Ordered, deduplicated word list plus the raw token count.
 
     ``words`` is strictly ascending under :func:`lexicon_sort_key`, which
     both enforces uniqueness and pins the deterministic processing order
-    the clustering backends rely on.
+    the clustering backends rely on.  Words have two or more characters
+    and no whitespace.  A word breaking a rule raises ``FormatError`` with
+    ``line`` set to its index in ``words``.
     """
 
     words: tuple[str, ...]
     total_tokens: int
-    unique_tokens: int
 
     def __post_init__(self):
         object.__setattr__(self, "words", tuple(self.words))
-        if self.unique_tokens != len(self.words):
-            raise ValueError("unique_tokens must equal the number of words")
         if self.unique_tokens > self.total_tokens:
             raise ValueError("unique_tokens cannot exceed total_tokens")
         previous = None
-        for word in self.words:
+        for index, word in enumerate(self.words):
             if len(word) < 2:
-                raise ValueError(f"one-character word {word!r} not allowed in a lexicon")
-            if any(ch.isspace() for ch in word):
-                raise ValueError(f"word {word!r} contains whitespace")
+                raise FormatError(f"one-character word {word!r}", line=index)
+            if word.split() != [word]:
+                raise FormatError(f"word {word!r} contains whitespace", line=index)
             key = lexicon_sort_key(word)
             if previous is not None and key <= previous:
-                raise ValueError("words must be strictly ascending by (length, lexicographic)")
+                raise FormatError(
+                    f"word {word!r} out of order (expected ascending length, then lexicographic)",
+                    line=index,
+                )
             previous = key
 
+    @property
+    def unique_tokens(self) -> int:
+        return len(self.words)
 
-def clean_text(text: str, strip_bengali_digits: bool = True) -> str:
-    """Keep Bengali-block code points; collapse every other run to one space."""
-    text = _JOINERS.sub("", text)
-    pattern = _DROP_RUNS if strip_bengali_digits else _DROP_RUNS_KEEP_DIGITS
-    return pattern.sub(" ", text)
+
+def clean_text(text: str) -> str:
+    """Keep Bengali-block code points but digits; collapse every other run to one space."""
+    return _DROP_RUNS.sub(" ", _JOINERS.sub("", text))
 
 
 def tokenize(text: str) -> list[str]:
@@ -79,7 +79,7 @@ def build_lexicon(tokens) -> Lexicon:
     tokens = list(tokens)
     trimmed = (token.strip() for token in tokens)
     words = sorted({t for t in trimmed if len(t) >= 2}, key=lexicon_sort_key)
-    return Lexicon(words=tuple(words), total_tokens=len(tokens), unique_tokens=len(words))
+    return Lexicon(words=tuple(words), total_tokens=len(tokens))
 
 
 def read_text(path) -> str:
@@ -127,38 +127,37 @@ def write_lexicon(lexicon: Lexicon, path, stats: bool = False) -> None:
 
 
 def read_lexicon(path) -> Lexicon:
-    """Parse a lexicon file, enforcing the canonical order with line numbers."""
+    """Parse a lexicon file; a broken ``Lexicon`` rule is reported at its file line.
+
+    A ``#stats`` line needs ``total >= unique`` and ``unique`` equal to the word count.
+    """
     text = read_text(path)
     words: list[str] = []
-    total = None
-    previous_key = None
+    linenos: list[int] = []
+    stats = None
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line:
             continue
         if line.startswith("#"):
             match = _STATS_LINE.match(line)
             if match:
-                total = int(match.group(1))
-                declared_unique = int(match.group(2))
-                if total < declared_unique:
+                total, unique = int(match.group(1)), int(match.group(2))
+                if total < unique:
                     raise FormatError("stats line has total < unique", path=path, line=lineno)
+                stats = (lineno, total, unique)
             continue
-        word = line
-        if len(word) < 2:
-            raise FormatError(f"one-character word {word!r}", path=path, line=lineno)
-        if any(ch.isspace() for ch in word):
-            raise FormatError(f"word {word!r} contains whitespace", path=path, line=lineno)
-        key = lexicon_sort_key(word)
-        if previous_key is not None and key <= previous_key:
+        words.append(line)
+        linenos.append(lineno)
+    total = len(words)
+    if stats is not None:
+        lineno, total, unique = stats
+        if unique != len(words):
             raise FormatError(
-                f"word {word!r} out of order (expected ascending length, then lexicographic)",
+                f"stats line declares unique={unique} but the file holds {len(words)} words",
                 path=path,
                 line=lineno,
             )
-        previous_key = key
-        words.append(word)
-    if total is None:
-        total = len(words)
-    if total < len(words):
-        raise FormatError("stats total smaller than word count", path=path)
-    return Lexicon(words=tuple(words), total_tokens=total, unique_tokens=len(words))
+    try:
+        return Lexicon(words=tuple(words), total_tokens=total)
+    except FormatError as exc:
+        raise FormatError(str(exc), path=path, line=linenos[exc.line]) from None

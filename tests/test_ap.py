@@ -57,7 +57,6 @@ class TestConfig:
         assert cfg.damping == 0.5
         assert cfg.preference == "median"
         assert cfg.max_iterations == 200
-        assert cfg.convergence_window == 15
         assert cfg.max_points == 20000
 
     @pytest.mark.parametrize("damping", [0.49, 1.0, -0.5])
@@ -86,6 +85,19 @@ class TestSimilarityMatrixType:
             matrix_from(np.array([[0.0, 1.5], [1.5, 0.0]]), mode=COEFFICIENT)
         with pytest.raises(ConfigError):
             matrix_from(np.array([[0.0, -201.0], [-201.0, 0.0]]), mode=MEDIAN)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 17])
+    def test_off_diagonal_is_a_view_of_the_masked_entries(self, n, order):
+        s = np.asarray(random_similarity(np.random.default_rng(n), n, preference=0.5), order=order)
+        matrix = matrix_from(s)  # a one-word matrix constructs too
+        mask = ~np.eye(n, dtype=bool)
+        off_diagonal = matrix.off_diagonal()
+        assert np.array_equal(off_diagonal.ravel(), s[mask])
+        # symmetry hides the entry order, so write distinct values through
+        # ``matrix.s`` and read them back through the same view
+        matrix.s[...] = np.arange(n * n).reshape(n, n)
+        assert np.array_equal(off_diagonal.ravel(), matrix.s[mask])
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ConfigError):

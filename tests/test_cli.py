@@ -1,9 +1,13 @@
+import contextlib
 import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stemcluster.cli import main
 from stemcluster.greedy import read_stem_table
@@ -217,6 +221,22 @@ class TestTrain:
         assert value in err
         assert not (tmp_path / "r.json").exists()
 
+    def test_stats_unique_mismatch_is_one_error_line(self, tmp_path, capsys):
+        lexicon = tmp_path / "lex.txt"
+        lexicon.write_text("#stats total=10 unique=1\nকখ\nগঘ\nকখগ\n", encoding="utf-8")
+        code = run_cli(
+            "train", str(lexicon),
+            "--stem-table", str(tmp_path / "t.tsv"),
+            "--report", str(tmp_path / "r.json"),
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("error:") == 1
+        assert err.count("\n") == 1
+        assert ":1:" in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_bad_threshold_is_usage_error(self, tmp_path, demo_expected_dir, capsys):
         code = run_cli(
             "train", str(demo_expected_dir / "lexicon.txt"),
@@ -372,6 +392,67 @@ class TestEvaluate:
         gold.write_text("no tabs here\n", encoding="utf-8")
         assert run_cli("evaluate", str(trained["report"]), str(gold)) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+
+@st.composite
+def _mutant(draw, data: bytes) -> bytes:
+    """``data`` truncated, with one byte flipped, with a slice of itself
+    spliced in elsewhere, or replaced by random bytes."""
+    kind = draw(st.sampled_from(["truncate", "flip", "splice", "random"]))
+    if kind == "random":
+        return draw(st.binary(max_size=300))
+    at = draw(st.integers(0, len(data) - 1))
+    if kind == "truncate":
+        return data[:at]
+    if kind == "flip":
+        return data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1 :]
+    start = draw(st.integers(0, len(data)))
+    end = draw(st.integers(start, len(data)))
+    return data[:at] + data[start:end] + data[at:]
+
+
+class TestReaderFuzz:
+    """Every reader, fed mutated demo files through ``main``, exits 0, 1 or 2
+    with exactly one ``error:`` line on failure and never lets an exception out."""
+
+    @settings(max_examples=300)
+    @given(
+        target=st.sampled_from(["lexicon", "table", "report", "gold"]),
+        backend=st.sampled_from(["greedy", "ap-coeff", "ap-median"]),
+        data=st.data(),
+    )
+    def test_mutated_input_exits_with_at_most_one_error_line(
+        self, demo_expected_dir, demo_gold, target, backend, data
+    ):
+        originals = {
+            "lexicon": demo_expected_dir / "lexicon.txt",
+            "table": demo_expected_dir / "greedy_stems.tsv",
+            "report": demo_expected_dir / "greedy_report.json",
+            "gold": demo_gold,
+        }
+        with tempfile.TemporaryDirectory() as workdir:
+            files = {name: str(path) for name, path in originals.items()}
+            files[target] = str(Path(workdir) / f"mutant-{target}")
+            Path(files[target]).write_bytes(
+                data.draw(_mutant(originals[target].read_bytes()))
+            )
+            if target == "lexicon":
+                argv = [
+                    "train", files["lexicon"], "--backend", backend,
+                    "--stem-table", str(Path(workdir) / "t.tsv"),
+                    "--report", str(Path(workdir) / "r.json"),
+                ]
+            elif target == "table":
+                argv = ["stem", files["table"], "কাজের", "বইটি", "--mark-oov"]
+            else:
+                argv = ["evaluate", files["report"], files["gold"]]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1, 2)
+        if code != 0:
+            errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+            assert len(errors) == 1
 
 
 class TestEntryPoint:

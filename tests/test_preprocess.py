@@ -29,7 +29,6 @@ class TestCleanText:
 
     def test_bengali_digits_stripped_by_default(self):
         assert clean_text("৫বাংলা৯৯") == " বাংলা "
-        assert clean_text("৫বাংলা", strip_bengali_digits=False) == "৫বাংলা"
 
     def test_zero_width_joiners_dropped_not_spaced(self):
         assert clean_text("ক‌খ") == "কখ"
@@ -120,15 +119,15 @@ class TestPipeline:
 class TestLexiconType:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
-            Lexicon(words=("কখগ", "কখ"), total_tokens=2, unique_tokens=2)
+            Lexicon(words=("কখগ", "কখ"), total_tokens=2)
 
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError):
-            Lexicon(words=("কখ", "কখ"), total_tokens=2, unique_tokens=2)
+            Lexicon(words=("কখ", "কখ"), total_tokens=2)
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
-            Lexicon(words=("কখ",), total_tokens=0, unique_tokens=1)
+            Lexicon(words=("কখ",), total_tokens=0)
 
 
 class TestLexiconFiles:
@@ -169,6 +168,47 @@ class TestLexiconFiles:
         path.write_text("ক\tখ\n", encoding="utf-8")
         with pytest.raises(FormatError):
             read_lexicon(path)
+
+    def test_rejects_stats_unique_other_than_word_count(self, tmp_path):
+        path = tmp_path / "lex.txt"
+        path.write_text("কখ\n#stats total=10 unique=1\nগঘ\nকখগ\n", encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            read_lexicon(path)
+        assert err.value.line == 2
+        assert "unique=1" in str(err.value)
+        assert "3 words" in str(err.value)
+
+    @given(
+        words=st.lists(
+            st.text(alphabet="কখগঘঙ", min_size=2, max_size=5), min_size=2, max_size=10, unique=True
+        ).map(lambda words: sorted(words, key=lexicon_sort_key)),
+        fillers=st.lists(st.lists(st.sampled_from(["", "#", "# note"]), max_size=3), min_size=11),
+        breakage=st.sampled_from(["one-character word", "contains whitespace", "out of order"]),
+        space=st.sampled_from([" ", "\t", "\r", "\u00a0", "\u3000"]),
+        data=st.data(),
+    )
+    def test_broken_word_is_reported_at_its_file_line(
+        self, tmp_path_factory, words, fillers, breakage, space, data
+    ):
+        broken = data.draw(st.integers(breakage == "out of order", len(words) - 1))
+        if breakage == "one-character word":
+            words[broken] = words[broken][0]
+        elif breakage == "contains whitespace":
+            words[broken] = words[broken][0] + space + words[broken][1:]
+        else:
+            words[broken] = words[broken - 1]
+        lines = []
+        for index, word in enumerate(words):
+            lines.extend(fillers[index])
+            if index == broken:
+                expected_line = len(lines) + 1
+            lines.append(word)
+        path = tmp_path_factory.getbasetemp() / "broken_lexicon.txt"
+        path.write_bytes("\n".join(lines).encode("utf-8"))
+        with pytest.raises(FormatError) as err:
+            read_lexicon(path)
+        assert err.value.line == expected_line
+        assert breakage in str(err.value)
 
     def test_invalid_utf8_rejected_at_load(self, tmp_path):
         path = tmp_path / "bad.txt"
