@@ -32,6 +32,16 @@ each blended as damping*old + (1-damping)*new.  Iteration stops once the
 exemplar set {k : r(k,k) + a(k,k) > 0} has been stable for a window of
 15 iterations, or at the iteration cap.
 
+``message_passing`` works in one buffer set: it reads S and allocates
+R, A and one scratch matrix ``tmp`` once, before the loop.  Each
+iteration writes a(i,k)+s(i,k), the new responsibilities and the new
+availabilities into ``tmp`` and blends them into R and A in place, in
+the same float64 operation order as the textbook update, so the
+messages are bitwise those of the version with a fresh temporary per
+step.  ``run_ap`` adds one working copy of S for the tie-break below,
+so a run allocates about 4 x n^2 x 8 B on top of the matrix; ``PEAK_N2``
+is the process peak that the capacity guard reports.
+
 Exactly tied instances (e.g. two identical points with equal preference)
 make the messages perfectly symmetric and every self-belief converges to
 zero, electing nobody.  To stay deterministic without random noise, the
@@ -41,7 +51,7 @@ similarity difference.
 
 Dense [n, n] messages mean quadratic memory, so matrix construction
 refuses lexicons beyond ``max_points`` up front instead of dying with a
-MemoryError halfway through.
+MemoryError halfway through, and names the peak the run would have had.
 """
 
 from __future__ import annotations
@@ -64,6 +74,11 @@ MODES = tuple(_RANGES)
 MEDIAN_PREFERENCE = "median"
 
 _TIE_BREAK = 1e-12
+
+# process peak of an AP run in units of n^2 * 8 B: the matrix, run_ap's
+# working copy, R, A and tmp, plus allocator slack; the benchmark's
+# ap_peak_n2 reads 6.08 on its 1 200-word lexicon, rounded up here
+PEAK_N2 = 7
 
 
 @dataclass(frozen=True)
@@ -136,7 +151,8 @@ def build_similarity_matrix(
     if n > cfg.max_points:
         raise CapacityError(
             f"lexicon has {n} words but max_points={cfg.max_points}; "
-            f"dense [n, n] message matrices at this size exhaust memory"
+            f"affinity propagation over {n} words would peak near "
+            f"{PEAK_N2 * n * n * 8 / 2**30:.1f} GiB ({PEAK_N2} x n^2 x 8 B)"
         )
     if n < 2:
         raise ConfigError("similarity matrix needs at least 2 words")
@@ -227,31 +243,43 @@ def message_passing(
     n = S.shape[0]
     if S.shape != (n, n) or n < 2:
         raise ConfigError("message passing needs a square matrix over at least 2 points")
+    S = np.asarray(S, dtype=np.float64)
     R = np.zeros_like(S)
     A = np.zeros_like(S)
+    # tmp holds a(i,k)+s(i,k), then the new responsibilities, then the new
+    # availabilities; every step writes in place, so no [n, n] array is
+    # allocated inside the loop and S is only read
+    tmp = np.empty_like(S)
     rows = np.arange(n)
+    diagonal = slice(None, None, n + 1)
     previous: tuple[int, ...] | None = None
     stable = 0
     converged = False
     iteration = 0
     for iteration in range(1, max_iterations + 1):
-        AS = A + S
-        best = np.argmax(AS, axis=1)
-        first_max = AS[rows, best]
-        AS[rows, best] = -np.inf
-        second_max = AS.max(axis=1)
-        R_new = S - first_max[:, None]
-        R_new[rows, best] = S[rows, best] - second_max
-        R = damping * R + (1.0 - damping) * R_new
+        np.add(A, S, out=tmp)
+        best = np.argmax(tmp, axis=1)
+        first_max = tmp[rows, best]
+        tmp[rows, best] = -np.inf
+        second_max = tmp.max(axis=1)
+        np.subtract(S, first_max[:, None], out=tmp)
+        tmp[rows, best] = S[rows, best] - second_max
+        R *= damping
+        tmp *= 1.0 - damping
+        R += tmp
 
-        clipped = np.maximum(R, 0.0)
-        np.fill_diagonal(clipped, R.diagonal())
-        column_sums = clipped.sum(axis=0)
-        A_new = column_sums[None, :] - clipped
-        self_availability = A_new.diagonal().copy()
-        A_new = np.minimum(A_new, 0.0)
-        np.fill_diagonal(A_new, self_availability)
-        A = damping * A + (1.0 - damping) * A_new
+        # the column sums and availabilities follow the textbook operation
+        # order; a negated ``tmp -= column_sums`` could flip zeros' signs
+        np.maximum(R, 0.0, out=tmp)
+        tmp.flat[diagonal] = R.flat[diagonal]
+        column_sums = tmp.sum(axis=0)
+        np.subtract(column_sums[None, :], tmp, out=tmp)
+        self_availability = tmp.flat[diagonal]
+        np.minimum(tmp, 0.0, out=tmp)
+        tmp.flat[diagonal] = self_availability
+        A *= damping
+        tmp *= 1.0 - damping
+        A += tmp
 
         exemplars = tuple(np.flatnonzero(R.diagonal() + A.diagonal() > 0.0))
         if exemplars == previous:

@@ -3,14 +3,17 @@
 Everything here is deliberately written without reusing the package's own
 set-based machinery, so a test comparing the two routes is a genuine
 cross-check: gram lists are deduplicated by linear scan, overlaps counted
-by pairwise comparison, the greedy walk re-enacted literally, and the
-exemplar optimum found by exhaustive subset search.
+by pairwise comparison, the greedy walk re-enacted literally, the
+exemplar optimum found by exhaustive subset search, and the AP messages
+computed with a fresh temporary per step.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import combinations
+
+import numpy as np
 
 from stemcluster import build_lexicon
 
@@ -112,6 +115,47 @@ def best_net_similarity(s) -> tuple[tuple[int, ...], float]:
                 best_value = value
                 best = subset
     return best, best_value
+
+
+def message_passing_oracle(S, damping=0.5, max_iterations=200, convergence_window=15):
+    """Textbook damped AP updates, one new array per step; (R, A, iterations, converged)."""
+    n = S.shape[0]
+    R = np.zeros_like(S)
+    A = np.zeros_like(S)
+    rows = np.arange(n)
+    previous = None
+    stable = 0
+    converged = False
+    iteration = 0
+    for iteration in range(1, max_iterations + 1):
+        AS = A + S
+        best = np.argmax(AS, axis=1)
+        first_max = AS[rows, best]
+        AS[rows, best] = -np.inf
+        second_max = AS.max(axis=1)
+        R_new = S - first_max[:, None]
+        R_new[rows, best] = S[rows, best] - second_max
+        R = damping * R + (1.0 - damping) * R_new
+
+        clipped = np.maximum(R, 0.0)
+        np.fill_diagonal(clipped, R.diagonal())
+        column_sums = clipped.sum(axis=0)
+        A_new = column_sums[None, :] - clipped
+        self_availability = A_new.diagonal().copy()
+        A_new = np.minimum(A_new, 0.0)
+        np.fill_diagonal(A_new, self_availability)
+        A = damping * A + (1.0 - damping) * A_new
+
+        exemplars = tuple(np.flatnonzero(R.diagonal() + A.diagonal() > 0.0))
+        if exemplars == previous:
+            stable += 1
+        else:
+            stable = 0
+        previous = exemplars
+        if exemplars and stable >= convergence_window - 1:
+            converged = True
+            break
+    return R, A, iteration, converged
 
 
 def score_oracle(clusters, gold) -> tuple[int, int, int, float]:

@@ -1,4 +1,6 @@
 import random
+import tracemalloc
+from itertools import product
 from statistics import median as stat_median
 
 import numpy as np
@@ -10,6 +12,7 @@ from stemcluster.ap import (
     APConfig,
     COEFFICIENT,
     MEDIAN,
+    PEAK_N2,
     SimilarityMatrix,
     build_similarity_matrix,
     message_passing,
@@ -19,7 +22,13 @@ from stemcluster.errors import CapacityError, ConfigError, DegenerateClusteringE
 from stemcluster.evaluation import report_stats
 from stemcluster.ngrams import COMBINED, dice, median_offset_distance
 
-from helpers import best_net_similarity, net_similarity, random_word
+from helpers import (
+    BANGLA_LETTERS,
+    best_net_similarity,
+    message_passing_oracle,
+    net_similarity,
+    random_word,
+)
 
 
 # few letters, so words repeat characters and share many with each other;
@@ -174,6 +183,19 @@ class TestBuildSimilarityMatrix:
         assert "max_points=10" in str(err.value)
         assert str(len(lex.words)) in str(err.value)
 
+    def test_capacity_error_states_estimated_peak(self):
+        n = 20_001
+        letters = sorted(set(BANGLA_LETTERS))
+        lexicon = build_lexicon(["".join(chars) for chars in product(letters, repeat=3)][:n])
+        assert len(lexicon.words) == n
+        with pytest.raises(CapacityError) as err:
+            build_similarity_matrix(lexicon, COEFFICIENT)
+        message = str(err.value)
+        assert "max_points=20000" in message
+        # never less than the matrix, run_ap's working copy, R, A and tmp
+        assert PEAK_N2 >= 5
+        assert f"{PEAK_N2 * n * n * 8 / 2**30:.1f} GiB" in message
+
     def test_too_few_words_rejected(self):
         with pytest.raises(ConfigError):
             build_similarity_matrix(build_lexicon(["কখ"]), COEFFICIENT)
@@ -275,6 +297,57 @@ class TestMessagePassing:
     def test_rejects_single_point(self):
         with pytest.raises(ConfigError):
             message_passing(np.zeros((1, 1)))
+
+    @settings(max_examples=60)
+    @given(
+        st.integers(2, 40),
+        st.sampled_from(["constant", "ties", "spread"]),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.5, 0.9]),
+    )
+    @example(n=2, kind="constant", seed=0, damping=0.5)
+    @example(n=40, kind="ties", seed=1, damping=0.9)
+    def test_in_place_updates_equal_textbook_oracle_bitwise(self, n, kind, seed, damping):
+        rng = np.random.default_rng(seed)
+        if kind == "constant":
+            s = np.full((n, n), float(rng.integers(-3, 4)))
+        else:
+            if kind == "ties":
+                values = rng.integers(-2, 3, size=(n, n)) / 2.0
+            else:
+                values = rng.uniform(-5.0, 5.0, size=(n, n))
+            s = values + values.T
+        s_bytes = s.tobytes()
+        R, A, iterations, converged = message_passing(s, damping=damping)
+        assert s.tobytes() == s_bytes
+        R_oracle, A_oracle, oracle_iterations, oracle_converged = message_passing_oracle(
+            s, damping=damping
+        )
+        assert R.tobytes() == R_oracle.tobytes()
+        assert A.tobytes() == A_oracle.tobytes()
+        assert iterations == oracle_iterations
+        assert converged == oracle_converged
+
+    def test_peak_memory_is_one_buffer_set(self):
+        n = 400
+        matrix = matrix_from(random_similarity(np.random.default_rng(4), n))
+        config = APConfig(max_iterations=20)
+
+        def peak_n2(call):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            call()
+            return (tracemalloc.get_traced_memory()[1] - start) / (n * n * 8)
+
+        tracemalloc.start()
+        try:
+            # R, A and tmp; run_ap adds its working copy of S
+            passing = peak_n2(lambda: message_passing(matrix.s, max_iterations=20))
+            run = peak_n2(lambda: run_ap(matrix, config))
+        finally:
+            tracemalloc.stop()
+        assert passing <= 3.1
+        assert run <= 4.1
 
 
 class TestApStats:

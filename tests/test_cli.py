@@ -315,6 +315,32 @@ class TestEvaluate:
         expected = json.loads((demo_expected_dir / "eval_greedy.json").read_text("utf-8"))
         assert got == expected
 
+    @pytest.mark.parametrize(
+        "backend, correct, total, run",
+        [
+            ("greedy", 8, 11, None),
+            ("ap-coeff", 10, 13, {"converged": True, "iterations": 19}),
+            ("ap-median", 0, 5, {"converged": True, "iterations": 36}),
+        ],
+    )
+    def test_demo_quality_per_backend(
+        self, tmp_path, demo_expected_dir, demo_gold, capsys, backend, correct, total, run
+    ):
+        report = tmp_path / "r.json"
+        assert run_cli(
+            "train", str(demo_expected_dir / "lexicon.txt"),
+            "--backend", backend,
+            "--stem-table", str(tmp_path / "t.tsv"),
+            "--report", str(report),
+        ) == 0
+        capsys.readouterr()
+        assert run_cli("evaluate", str(report), str(demo_gold)) == 0
+        got = json.loads(capsys.readouterr().out)
+        assert (got["correct_clusters"], got["total_clusters"]) == (correct, total)
+        if run is not None:
+            _, meta = read_cluster_report(report)
+            assert {key: meta[key] for key in run} == run
+
     def test_table_output(self, trained, demo_gold, capsys):
         assert run_cli("evaluate", str(trained["report"]), str(demo_gold), "--table") == 0
         out = capsys.readouterr().out
