@@ -238,7 +238,7 @@ def message_passing(
 
     Returns (R, A, iterations run, converged).  Convergence means a
     non-empty exemplar set unchanged over ``convergence_window``
-    consecutive iterations.
+    consecutive iterations.  S is only read.
     """
     n = S.shape[0]
     if S.shape != (n, n) or n < 2:
@@ -248,7 +248,7 @@ def message_passing(
     A = np.zeros_like(S)
     # tmp holds a(i,k)+s(i,k), then the new responsibilities, then the new
     # availabilities; every step writes in place, so no [n, n] array is
-    # allocated inside the loop and S is only read
+    # allocated inside the loop
     tmp = np.empty_like(S)
     rows = np.arange(n)
     diagonal = slice(None, None, n + 1)
@@ -274,7 +274,7 @@ def message_passing(
         tmp.flat[diagonal] = R.flat[diagonal]
         column_sums = tmp.sum(axis=0)
         np.subtract(column_sums[None, :], tmp, out=tmp)
-        self_availability = tmp.flat[diagonal]
+        self_availability = tmp.flat[diagonal]  # flat slicing copies
         np.minimum(tmp, 0.0, out=tmp)
         tmp.flat[diagonal] = self_availability
         A *= damping
