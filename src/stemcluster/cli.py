@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 
-from . import ap as ap_mod
 from .errors import ConfigError, StemclusterError
 from .evaluation import format_table, load_gold, score_clusters, report_stats
 from .clusters import read_cluster_report, write_cluster_report
@@ -115,6 +114,8 @@ def cmd_train(args) -> int:
         order, threshold = config.gram_order, config.threshold
         write_cluster_report(args.report, clusters)
     else:
+        from . import ap as ap_mod  # imports numpy, so load it for AP runs only
+
         mode = ap_mod.COEFFICIENT if args.backend == "ap-coeff" else ap_mod.MEDIAN
         config = ap_mod.APConfig(
             damping=args.damping,
@@ -152,14 +153,18 @@ def cmd_stem(args) -> int:
         words = args.words
     else:
         words = (line.strip() for line in sys.stdin)
+    # one write per answer; stdin is still read a line at a time
+    write = sys.stdout.write
     for word in words:
         if not word:
             continue
         stem = table.get(word)
-        if stem is None:
-            print(f"{word}\t[OOV]" if args.mark_oov else word)
+        if stem is not None:
+            write(f"{stem}\n")
+        elif args.mark_oov:
+            write(f"{word}\t[OOV]\n")
         else:
-            print(stem)
+            write(f"{word}\n")
     return 0
 
 

@@ -23,14 +23,15 @@ the clusters are identical to the quadratic scan's.
 ``stem_table_from_clusters`` is the one stem-table constructor, for every
 backend; ``stem_word`` and the ``stem`` command look words up through
 ``StemTable.get``, which cleans a query only when it misses as given.
+
+numpy is imported inside ``cluster_greedy`` alone, so the commands that
+only read or write a stem table start without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .clusters import Cluster, select_stem
 from .errors import ConfigError, FormatError, PartitionError
@@ -92,6 +93,8 @@ class StemTable:
 
 def cluster_greedy(lexicon: Lexicon, config: GreedyConfig | None = None) -> list[Cluster]:
     """Partition the lexicon into clusters, returned in seed order."""
+    import numpy as np
+
     cfg = config or GreedyConfig()
     words = lexicon.words
     index = gram_index(words, cfg.gram_order)

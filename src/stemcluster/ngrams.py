@@ -14,7 +14,9 @@ compare every entry of that matrix with this function.
 
 ``gram_index`` is the array form of a whole lexicon's gram sets that both
 clustering backends read: integer gram ids, set sizes and posting lists,
-built once per run without keeping a set or string per word.
+built once per run without keeping a set or string per word.  numpy is
+imported only inside the functions that build those arrays, so the
+commands that never cluster start without it.
 """
 
 from __future__ import annotations
@@ -22,10 +24,12 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from statistics import median
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 BIGRAM = "2"
 TRIGRAM = "3"
@@ -83,11 +87,15 @@ class GramIndex:
 
     def posting_lists(self) -> list[np.ndarray]:
         """One view into ``postings`` per gram id."""
+        import numpy as np
+
         return np.split(self.postings, self.gram_starts[1:-1])
 
 
 def gram_index(words, order: str = BIGRAM) -> GramIndex:
     """Index the ``gram_set`` of every word in ``words``."""
+    import numpy as np
+
     gram_set("", order)  # validates the order even when ``words`` is empty
     ids: dict[str, int] = {}
     grams = array("q")

@@ -1,6 +1,8 @@
 import re
 from pathlib import Path
 
+import pytest
+
 import stemcluster
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -10,6 +12,24 @@ def test_every_public_name_resolves():
     assert len(set(stemcluster.__all__)) == len(stemcluster.__all__)
     for name in stemcluster.__all__:
         assert hasattr(stemcluster, name), name
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from stemcluster import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(stemcluster.__all__)
+    for name, value in namespace.items():
+        assert value is getattr(stemcluster, name), name
+
+
+def test_unknown_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        stemcluster.no_such_name
+
+
+def test_version_resolves():
+    assert stemcluster.__version__ == "0.1.0"
 
 
 def test_readme_library_block_runs():

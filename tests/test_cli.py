@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -258,6 +259,14 @@ class TestStem:
         monkeypatch.setattr(sys, "stdin", io.StringIO("কাজের\nবইটি\n"))
         assert run_cli("stem", str(trained["table"])) == 0
         assert capsys.readouterr().out == "কাজ\nবই\n"
+        # blank lines are skipped, surrounding whitespace is stripped, and a
+        # last line without a newline still gets one answer line
+        monkeypatch.setattr(sys, "stdin", io.StringIO("\n  কাজের \t\n\t\n\n বইটি"))
+        assert run_cli("stem", str(trained["table"])) == 0
+        assert capsys.readouterr().out == "কাজ\nবই\n"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(" কখগঘ\n\nকাজের\r\nকখগঘ \n"))
+        assert run_cli("stem", str(trained["table"]), "--mark-oov") == 0
+        assert capsys.readouterr().out == "কখগঘ\t[OOV]\nকাজ\nকখগঘ\t[OOV]\n"
 
     def test_empty_stdin(self, trained, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.StringIO(""))
@@ -481,7 +490,60 @@ class TestReaderFuzz:
             assert len(errors) == 1
 
 
+# Runs the commands in a fresh interpreter and reports, after each one,
+# whether numpy has been imported; only clustering needs it.
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+import stemcluster
+loaded = [("import stemcluster", "numpy" in sys.modules)]
+from stemcluster.cli import main
+corpus, gold, report, table, workdir = sys.argv[1:]
+lexicon = workdir + "/lexicon.txt"
+steps = [
+    ("--help", ["--help"], ""),
+    ("preprocess", ["preprocess", corpus, "-o", lexicon], ""),
+    ("evaluate", ["evaluate", report, gold], ""),
+    ("stem words", ["stem", table, "কাজের", "কখগঘ"], ""),
+    ("stem stdin", ["stem", table], "কাজের\\nবইটি\\n"),
+    ("train greedy", ["train", lexicon, "--backend", "greedy",
+                      "--stem-table", workdir + "/t.tsv", "--report", workdir + "/r.json"], ""),
+]
+for name, argv, stdin in steps:
+    sys.stdin = io.StringIO(stdin)
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code == 0, (name, code)
+    loaded.append((name, "numpy" in sys.modules))
+print(json.dumps(loaded))
+"""
+
+
 class TestEntryPoint:
+    def test_only_train_loads_numpy(self, tmp_path, demo_corpus, demo_gold, demo_expected_dir):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-c", _NUMPY_PROBE, str(demo_corpus), str(demo_gold),
+             str(demo_expected_dir / "greedy_report.json"),
+             str(demo_expected_dir / "greedy_stems.tsv"), str(tmp_path)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [
+            ["import stemcluster", False],
+            ["--help", False],
+            ["preprocess", False],
+            ["evaluate", False],
+            ["stem words", False],
+            ["stem stdin", False],
+            # the probe does see numpy once a command needs it
+            ["train greedy", True],
+        ]
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "stemcluster", "--help"],
