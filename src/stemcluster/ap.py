@@ -39,8 +39,9 @@ availabilities into ``tmp`` and blends them into R and A in place, in
 the same float64 operation order as the textbook update, so the
 messages are bitwise those of the version with a fresh temporary per
 step.  ``run_ap`` adds one working copy of S for the tie-break below,
-so a run allocates about 4 x n^2 x 8 B on top of the matrix; ``PEAK_N2``
-is the process peak that the capacity guard reports.
+so a run allocates about 4 x n^2 x 8 B on top of the matrix, and frees
+the copy, R and A before it gathers each point's exemplar similarities;
+``PEAK_N2`` is the process peak that the capacity guard reports.
 
 Exactly tied instances (e.g. two identical points with equal preference)
 make the messages perfectly symmetric and every self-belief converges to
@@ -52,19 +53,24 @@ similarity difference.
 Dense [n, n] messages mean quadratic memory, so matrix construction
 refuses lexicons beyond ``max_points`` up front instead of dying with a
 MemoryError halfway through, and names the peak the run would have had.
+
+numpy is imported inside the functions that build or read arrays, so
+loading this module, as the CLI does for every command, does not load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .clusters import Cluster, select_stem
 from .errors import CapacityError, ConfigError, DegenerateClusteringError
 from .ngrams import COMBINED, FAR_DISTANCE, MEDIAN, dice_ratio, gram_index
 from .preprocess import Lexicon
+
+if TYPE_CHECKING:
+    import numpy as np
 
 COEFFICIENT = "coefficient"
 # the closed range every off-diagonal similarity of a mode lies in
@@ -76,13 +82,10 @@ MEDIAN_PREFERENCE = "median"
 _TIE_BREAK = 1e-12
 
 # process peak of an AP run in units of n^2 * 8 B: the matrix, run_ap's
-# working copy, R, A and tmp during message passing, or the matrix, the
-# copy, R, A and up to two n x exemplars gathers when exemplars are
-# assigned.  Peak RSS over a 2-word run, `train --max-iter 10` on
-# 3 000 / 6 000 synthetic words: ap-coeff 5.02 / 5.02, ap-median 5.32 /
-# 6.01 (5 980 of its 6 000 words end as exemplars); the largest, rounded
-# up to the next 0.5
-PEAK_N2 = 6.5
+# working copy, R, A and tmp.  Peak RSS over a 2-word run, `train
+# --max-iter 10` on 3 000 / 6 000 synthetic words: ap-coeff 5.02 / 5.02,
+# ap-median 5.04 / 5.01; the largest, rounded up to the next 0.5
+PEAK_N2 = 5.5
 
 
 @dataclass(frozen=True)
@@ -115,6 +118,8 @@ class SimilarityMatrix:
     mode: str
 
     def __post_init__(self):
+        import numpy as np
+
         self.words = tuple(self.words)
         self.s = np.ascontiguousarray(self.s, dtype=np.float64)
         n = len(self.words)
@@ -149,6 +154,8 @@ def build_similarity_matrix(
     lexicon: Lexicon, mode: str = COEFFICIENT, config: APConfig | None = None
 ) -> SimilarityMatrix:
     """Dense symmetric similarities with the preference on the diagonal."""
+    import numpy as np
+
     cfg = config or APConfig()
     words = lexicon.words
     n = len(words)
@@ -175,6 +182,8 @@ def build_similarity_matrix(
 
 
 def _coefficient_matrix(words) -> np.ndarray:
+    import numpy as np
+
     # shared-gram counts via posting lists: a gram seen by m words adds 1 to
     # each of the m*m pairs, so only co-occurring pairs cost anything
     index = gram_index(words, COMBINED)
@@ -188,6 +197,8 @@ def _coefficient_matrix(words) -> np.ndarray:
 
 
 def _median_matrix(words) -> np.ndarray:
+    import numpy as np
+
     # first[j, c] is the first position of character c in word j, or
     # ``absent`` when word j lacks it; ``absent`` is so large that every
     # offset against it exceeds any real one and sorts behind it
@@ -234,8 +245,8 @@ def _median_matrix(words) -> np.ndarray:
 
 def message_passing(
     S: np.ndarray,
-    damping: float = 0.5,
-    max_iterations: int = 200,
+    damping: float = APConfig.damping,
+    max_iterations: int = APConfig.max_iterations,
     convergence_window: int = 15,
 ) -> tuple[np.ndarray, np.ndarray, int, bool]:
     """Iterate the damped updates on a raw similarity matrix.
@@ -244,6 +255,8 @@ def message_passing(
     non-empty exemplar set unchanged over ``convergence_window``
     consecutive iterations.  S is only read.
     """
+    import numpy as np
+
     n = S.shape[0]
     if S.shape != (n, n) or n < 2:
         raise ConfigError("message passing needs a square matrix over at least 2 points")
@@ -303,6 +316,8 @@ def run_ap(matrix: SimilarityMatrix, config: APConfig | None = None) -> APResult
     Raises DegenerateClusteringError when no exemplar emerges; a run that
     merely fails to stabilise comes back with ``converged=False``.
     """
+    import numpy as np
+
     cfg = config or APConfig()
     n = len(matrix.words)
     S = np.array(matrix.s, dtype=np.float64, copy=True)
@@ -312,6 +327,7 @@ def run_ap(matrix: SimilarityMatrix, config: APConfig | None = None) -> APResult
     S[np.arange(n), np.arange(n)] -= np.arange(n) * scale * _TIE_BREAK
     R, A, iterations, converged = message_passing(S, cfg.damping, cfg.max_iterations)
     beliefs = R.diagonal() + A.diagonal()
+    del S, R, A  # free the messages before the n x exemplars gathers below
     exemplar_indices = np.flatnonzero(beliefs > 0.0)
     if exemplar_indices.size == 0:
         raise DegenerateClusteringError(

@@ -2,10 +2,10 @@
 
 Every stage reads and writes plain UTF-8 files (lexicon: one word per
 line; stem table: TSV; cluster report: JSON; gold standard: TSV) so runs
-can be chained in shell pipelines and compared byte-for-byte.  All
-hyperparameters default to the standard settings (threshold 0.06,
-damping 0.5, median preference) and the whole pipeline is deterministic:
-identical inputs produce identical artifacts.
+can be chained in shell pipelines and compared byte-for-byte.  Every
+hyperparameter defaults to its ``GreedyConfig`` or ``APConfig`` field,
+and the whole pipeline is deterministic: identical inputs produce
+identical artifacts.
 """
 
 from __future__ import annotations
@@ -14,18 +14,18 @@ import argparse
 import json
 import sys
 
+from .ap import COEFFICIENT, APConfig, build_similarity_matrix, run_ap
 from .errors import ConfigError, StemclusterError
 from .evaluation import format_table, load_gold, score_clusters, report_stats
 from .clusters import read_cluster_report, write_cluster_report
 from .greedy import (
-    DEFAULT_THRESHOLD,
     GreedyConfig,
     cluster_greedy,
     read_stem_table,
     stem_table_from_clusters,
     write_stem_table,
 )
-from .ngrams import COMBINED, GRAM_ORDERS
+from .ngrams import COMBINED, GRAM_ORDERS, MEDIAN
 from .preprocess import build_lexicon, clean_text, read_lexicon, read_text, tokenize, write_lexicon
 
 BACKENDS = ("greedy", "ap-coeff", "ap-median")
@@ -58,16 +58,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="cluster a lexicon and write the stem table")
     p.add_argument("lexicon", metavar="LEXICON")
     p.add_argument("--backend", choices=BACKENDS, default="greedy")
-    p.add_argument("--ngram", choices=GRAM_ORDERS, default="2",
-                   help="gram order for the greedy backend (default 2)")
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
-                   help="greedy similarity threshold (default 0.06)")
-    p.add_argument("--damping", type=float, default=0.5,
-                   help="message damping factor (default 0.5)")
-    p.add_argument("--preference", type=_preference, default="median",
-                   help="'median' or a fixed self-similarity (default median)")
-    p.add_argument("--max-iter", type=int, default=200)
-    p.add_argument("--max-points", type=int, default=20000,
+    p.add_argument("--ngram", choices=GRAM_ORDERS, default=GreedyConfig.gram_order,
+                   help="gram order for the greedy backend (default %(default)s)")
+    p.add_argument("--threshold", type=float, default=GreedyConfig.threshold,
+                   help="greedy similarity threshold (default %(default)s)")
+    p.add_argument("--damping", type=float, default=APConfig.damping,
+                   help="message damping factor (default %(default)s)")
+    p.add_argument("--preference", type=_preference, default=APConfig.preference,
+                   help="'median' or a fixed self-similarity (default %(default)s)")
+    p.add_argument("--max-iter", type=int, default=APConfig.max_iterations)
+    p.add_argument("--max-points", type=int, default=APConfig.max_points,
                    help="refuse dense-matrix clustering beyond this many words")
     p.add_argument("--stem-table", default="stem_table.tsv", help="stem table TSV to write")
     p.add_argument("--report", default="cluster_report.json", help="cluster report JSON to write")
@@ -114,19 +114,17 @@ def cmd_train(args) -> int:
         order, threshold = config.gram_order, config.threshold
         write_cluster_report(args.report, clusters)
     else:
-        from . import ap as ap_mod  # imports numpy, so load it for AP runs only
-
-        mode = ap_mod.COEFFICIENT if args.backend == "ap-coeff" else ap_mod.MEDIAN
-        config = ap_mod.APConfig(
+        mode = COEFFICIENT if args.backend == "ap-coeff" else MEDIAN
+        config = APConfig(
             damping=args.damping,
             preference=args.preference,
             max_iterations=args.max_iter,
             max_points=args.max_points,
         )
-        matrix = ap_mod.build_similarity_matrix(lexicon, mode, config)
-        result = ap_mod.run_ap(matrix, config)
+        matrix = build_similarity_matrix(lexicon, mode, config)
+        result = run_ap(matrix, config)
         clusters = result.clusters
-        order = COMBINED if mode == ap_mod.COEFFICIENT else ap_mod.MEDIAN
+        order = COMBINED if mode == COEFFICIENT else MEDIAN
         threshold = None
         write_cluster_report(
             args.report,
@@ -192,15 +190,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (StemclusterError, OSError) as exc:
         print(f"error: {_one_line(exc)}", file=sys.stderr)
-        return 2
-    except StemclusterError as exc:
-        print(f"error: {_one_line(exc)}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {_one_line(exc)}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 def _one_line(exc: Exception) -> str:

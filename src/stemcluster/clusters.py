@@ -45,19 +45,16 @@ def write_cluster_report(
     """Write the cluster report JSON.
 
     Plain runs produce a bare array of {stem, members}.  When the
-    exemplar-based backend supplies its extras, the array is wrapped in an
-    object carrying {mode, converged, iterations} and each entry gains its
-    exemplar.
+    exemplar-based backend supplies its exemplars (and with them its
+    mode, converged and iterations), each entry gains its exemplar and the
+    array is wrapped in an object carrying {mode, converged, iterations}.
     """
-    entries = []
-    for index, cluster in enumerate(clusters):
-        entry = {"stem": cluster.stem, "members": list(cluster.members)}
-        if exemplars is not None:
-            entry["exemplar"] = exemplars[index]
-        entries.append(entry)
-    if mode is None and converged is None and iterations is None:
+    entries = [{"stem": c.stem, "members": list(c.members)} for c in clusters]
+    if exemplars is None:
         payload = entries
     else:
+        for entry, exemplar in zip(entries, exemplars, strict=True):
+            entry["exemplar"] = exemplar
         payload = {
             "mode": mode,
             "converged": converged,

@@ -30,6 +30,7 @@ only read or write a stem table start without it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,9 +39,9 @@ from .errors import ConfigError, FormatError, PartitionError
 from .ngrams import BIGRAM, GRAM_ORDERS, MEDIAN, dice_ratio, gram_index
 from .preprocess import Lexicon, clean_text, parse_word_pairs, read_text, tokenize
 
-DEFAULT_THRESHOLD = 0.06
-
 _TABLE_MAGIC = "#stemcluster v1"
+# the one header form write_stem_table writes
+_TABLE_HEADER = re.compile(re.escape(_TABLE_MAGIC) + r" order=(\S+) threshold=(\S+)")
 # the similarity a table was trained with: a greedy gram order, or the
 # ap-median backend's median offsets
 _TABLE_ORDERS = (*GRAM_ORDERS, MEDIAN)
@@ -49,7 +50,7 @@ _TABLE_ORDERS = (*GRAM_ORDERS, MEDIAN)
 @dataclass(frozen=True)
 class GreedyConfig:
     gram_order: str = BIGRAM
-    threshold: float = DEFAULT_THRESHOLD
+    threshold: float = 0.06
 
     def __post_init__(self):
         if self.gram_order not in GRAM_ORDERS:
@@ -154,19 +155,16 @@ def write_stem_table(table: StemTable, path) -> None:
 
 def read_stem_table(path) -> StemTable:
     text = read_text(path)
-    header = text.partition("\n")[0]
-    if header != _TABLE_MAGIC and not header.startswith(_TABLE_MAGIC + " "):
-        raise FormatError(f"expected a {_TABLE_MAGIC!r} header", path=path, line=1)
-    fields: dict[str, str] = {}
-    for field in header[len(_TABLE_MAGIC) :].split():
-        key, sep, value = field.partition("=")
-        if not sep or key not in ("order", "threshold") or key in fields:
-            raise FormatError(f"bad header field {field!r}", path=path, line=1)
-        fields[key] = value
-    order = fields.get("order", BIGRAM)
+    header = _TABLE_HEADER.fullmatch(text.partition("\n")[0])
+    if header is None:
+        raise FormatError(
+            f"expected a '{_TABLE_MAGIC} order=<order> threshold=<threshold>' header",
+            path=path,
+            line=1,
+        )
+    order, value = header.groups()
     if order not in _TABLE_ORDERS:
         raise FormatError(f"order must be one of {_TABLE_ORDERS}, got {order!r}", path=path, line=1)
-    value = fields.get("threshold", "-")
     try:
         threshold = None if value == "-" else float(value)
     except ValueError:

@@ -14,16 +14,15 @@ compare every entry of that matrix with this function.
 
 ``gram_index`` is the array form of a whole lexicon's gram sets that both
 clustering backends read: integer gram ids, set sizes and posting lists,
-built once per run without keeping a set or string per word.  numpy is
-imported only inside the functions that build those arrays, so the
-commands that never cluster start without it.
+built once per run without keeping a set or string per word.  numpy and
+``statistics`` are imported only inside the functions that use them, so
+the commands that never cluster start without either.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from statistics import median
 from typing import TYPE_CHECKING
 
 from .errors import ConfigError
@@ -126,6 +125,8 @@ def median_offset_distance(w1: str, w2: str) -> float:
     share no character or when the median offset exceeds the shorter word's
     length.
     """
+    from statistics import median
+
     shared = set(w1) & set(w2)
     if not shared:
         return -FAR_DISTANCE

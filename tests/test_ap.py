@@ -83,8 +83,20 @@ class TestConfig:
             APConfig(preference=preference)
         assert str(preference) in str(err.value)
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [({"max_iterations": 0}, "max_iterations"), ({"max_points": 1}, "max_points")],
+    )
+    def test_iteration_and_point_minimums(self, kwargs, field):
+        with pytest.raises(ConfigError, match=field):
+            APConfig(**kwargs)
+
 
 class TestSimilarityMatrixType:
+    def test_rejects_non_square(self):
+        with pytest.raises(ConfigError, match="2x2"):
+            SimilarityMatrix(words=("a", "b"), s=np.zeros((2, 3)), mode=COEFFICIENT)
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ConfigError):
             matrix_from(np.array([[0.1, 0.2], [0.3, 0.1]]))
@@ -114,6 +126,10 @@ class TestSimilarityMatrixType:
 
 
 class TestBuildSimilarityMatrix:
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ConfigError, match="banana"):
+            build_similarity_matrix(build_lexicon(["কখ", "কখগ"]), "banana")
+
     def test_two_point_construction_with_fixed_preference(self):
         lex = build_lexicon(["কখগ", "কখগঘ"])
         value = dice("কখগ", "কখগঘ", COMBINED)
@@ -221,6 +237,12 @@ class TestRunAP:
         s = random_similarity(rng, 6, preference=5.0)
         result = run_ap(matrix_from(s))
         assert len(result.clusters) == 6
+
+    def test_all_zero_matrix_gives_one_cluster(self):
+        # max|s| is 0, so the tie-break falls back to a scale of 1
+        result = run_ap(matrix_from(np.zeros((5, 5))))
+        assert result.converged
+        assert [c.members for c in result.clusters] == [tuple(f"w{i:02d}" for i in range(5))]
 
     def test_degenerate_when_no_exemplar_emerges(self):
         matrix = matrix_from(np.array([[0.1, 0.9], [0.9, 0.1]]))
@@ -347,6 +369,18 @@ class TestMessagePassing:
         finally:
             tracemalloc.stop()
         assert passing <= 3.1
+        assert run <= 4.1
+
+        # every point an exemplar: the n x exemplars gathers of the
+        # assignment step must not stack on S, R and A
+        matrix = matrix_from(random_similarity(np.random.default_rng(4), n, preference=5.0))
+        results = []
+        tracemalloc.start()
+        try:
+            run = peak_n2(lambda: results.append(run_ap(matrix, config)))
+        finally:
+            tracemalloc.stop()
+        assert len(results[0].exemplars) == n
         assert run <= 4.1
 
 

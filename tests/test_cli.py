@@ -238,6 +238,34 @@ class TestTrain:
         assert ":1:" in err
         assert not (tmp_path / "r.json").exists()
 
+    def test_unparsable_preference_is_usage_error(self, tmp_path, demo_expected_dir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "train", str(demo_expected_dir / "lexicon.txt"),
+                "--backend", "ap-median",
+                "--preference", "abc",
+                "--stem-table", str(tmp_path / "t.tsv"),
+                "--report", str(tmp_path / "r.json"),
+            )
+        assert exc.value.code == 2
+        assert "'abc'" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_iteration_cap_warns_not_converged(self, tmp_path, demo_expected_dir, capsys):
+        code = run_cli(
+            "train", str(demo_expected_dir / "lexicon.txt"),
+            "--backend", "ap-coeff",
+            "--max-iter", "5",
+            "--stem-table", str(tmp_path / "t.tsv"),
+            "--report", str(tmp_path / "r.json"),
+        )
+        assert code == 0
+        out, err = capsys.readouterr()
+        assert err == "warning: not converged after 5 iterations\n"
+        assert "converged=false iterations=5" in out
+        _clusters, meta = read_cluster_report(tmp_path / "r.json")
+        assert meta == {"mode": "coefficient", "converged": False, "iterations": 5}
+
     def test_bad_threshold_is_usage_error(self, tmp_path, demo_expected_dir, capsys):
         code = run_cli(
             "train", str(demo_expected_dir / "lexicon.txt"),
@@ -491,11 +519,14 @@ class TestReaderFuzz:
 
 
 # Runs the commands in a fresh interpreter and reports, after each one,
-# whether numpy has been imported; only clustering needs it.
+# whether numpy and statistics have been imported; only clustering needs
+# numpy, and no command needs statistics.
 _NUMPY_PROBE = """
 import contextlib, io, json, sys
+def heavy():
+    return ["numpy" in sys.modules, "statistics" in sys.modules]
 import stemcluster
-loaded = [("import stemcluster", "numpy" in sys.modules)]
+loaded = [("import stemcluster", *heavy())]
 from stemcluster.cli import main
 corpus, gold, report, table, workdir = sys.argv[1:]
 lexicon = workdir + "/lexicon.txt"
@@ -516,7 +547,7 @@ for name, argv, stdin in steps:
         except SystemExit as exc:
             code = exc.code
     assert code == 0, (name, code)
-    loaded.append((name, "numpy" in sys.modules))
+    loaded.append((name, *heavy()))
 print(json.dumps(loaded))
 """
 
@@ -534,14 +565,14 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [
-            ["import stemcluster", False],
-            ["--help", False],
-            ["preprocess", False],
-            ["evaluate", False],
-            ["stem words", False],
-            ["stem stdin", False],
+            ["import stemcluster", False, False],
+            ["--help", False, False],
+            ["preprocess", False, False],
+            ["evaluate", False, False],
+            ["stem words", False, False],
+            ["stem stdin", False, False],
             # the probe does see numpy once a command needs it
-            ["train greedy", True],
+            ["train greedy", True, False],
         ]
 
     def test_module_invocation(self):

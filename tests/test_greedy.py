@@ -181,6 +181,16 @@ class TestSelectStem:
             select_stem([])
 
 
+class TestClusterInvariants:
+    def test_members_must_be_distinct(self):
+        with pytest.raises(ValueError, match="distinct"):
+            Cluster(stem="ab", members=("ab", "abc", "ab"))
+
+    def test_stem_must_be_a_member(self):
+        with pytest.raises(ValueError, match="not a member"):
+            Cluster(stem="ab", members=("abc", "abd"))
+
+
 class TestStemTable:
     def test_expansion(self):
         clusters = [Cluster(stem="ab", members=("ab", "abc"))]
@@ -264,7 +274,7 @@ class TestStemTable:
         assert err.value.line == 1
         assert "banana" in str(err.value)
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "1", "1.5", "-0.2"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "1", "1.5", "-0.2", "abc"])
     def test_threshold_outside_training_range_rejected_at_header(self, tmp_path, value):
         path = tmp_path / "table.tsv"
         path.write_text(f"#stemcluster v1 order=2 threshold={value}\nab\tab\n", encoding="utf-8")
@@ -282,6 +292,8 @@ class TestStemTable:
             "#stemcluster v1 order=2 bogus threshold=0.06",
             "#stemcluster v1 order=2 order=3 threshold=0.06",
             "#stemcluster v1 order=2 threshold=0.06 threshold=0.06",
+            "#stemcluster v1 order=2",
+            "#stemcluster v1 threshold=0.06 order=2",
         ],
     )
     def test_header_needs_exact_magic_and_known_unique_fields(self, tmp_path, header):

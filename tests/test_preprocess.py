@@ -169,6 +169,13 @@ class TestLexiconFiles:
         with pytest.raises(FormatError):
             read_lexicon(path)
 
+    def test_rejects_stats_total_below_unique(self, tmp_path):
+        path = tmp_path / "lex.txt"
+        path.write_text("#stats total=1 unique=2\nকখ\nগঘ\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="total < unique") as err:
+            read_lexicon(path)
+        assert err.value.line == 1
+
     def test_rejects_stats_unique_other_than_word_count(self, tmp_path):
         path = tmp_path / "lex.txt"
         path.write_text("কখ\n#stats total=10 unique=1\nগঘ\nকখগ\n", encoding="utf-8")
