@@ -56,6 +56,8 @@ MemoryError halfway through, and names the peak the run would have had.
 
 numpy is imported inside the functions that build or read arrays, so
 loading this module, as the CLI does for every command, does not load it.
+``build_similarity_matrix`` imports it only after the size checks, so a
+run the guard refuses does not load it either.
 """
 
 from __future__ import annotations
@@ -154,8 +156,6 @@ def build_similarity_matrix(
     lexicon: Lexicon, mode: str = COEFFICIENT, config: APConfig | None = None
 ) -> SimilarityMatrix:
     """Dense symmetric similarities with the preference on the diagonal."""
-    import numpy as np
-
     cfg = config or APConfig()
     words = lexicon.words
     n = len(words)
@@ -173,6 +173,8 @@ def build_similarity_matrix(
         s = _median_matrix(words)
     else:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+    import numpy as np
+
     matrix = SimilarityMatrix(words=words, s=s, mode=mode)
     preference = cfg.preference
     if preference == MEDIAN_PREFERENCE:

@@ -6,6 +6,9 @@ can be chained in shell pipelines and compared byte-for-byte.  Every
 hyperparameter defaults to its ``GreedyConfig`` or ``APConfig`` field,
 and the whole pipeline is deterministic: identical inputs produce
 identical artifacts.
+
+``stem`` answers stdin a block of complete lines at a time and writes
+each block's answers at once; argument words are answered as one block.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import json
 import sys
 
 from .ap import COEFFICIENT, APConfig, build_similarity_matrix, run_ap
-from .errors import ConfigError, StemclusterError
+from .errors import ConfigError, InputEncodingError, StemclusterError
 from .evaluation import format_table, load_gold, score_clusters, report_stats
 from .clusters import read_cluster_report, write_cluster_report
 from .greedy import (
@@ -146,24 +149,53 @@ def cmd_train(args) -> int:
 
 
 def cmd_stem(args) -> int:
+    if sys.stdout is None:
+        raise StemclusterError("stdout is closed; nowhere to write the stems")
+    if not args.words and sys.stdin is None:
+        raise StemclusterError("stdin is closed; give the words as arguments")
     table = read_stem_table(args.table)
-    if args.words:
-        words = args.words
-    else:
-        words = (line.strip() for line in sys.stdin)
-    # one write per answer; stdin is still read a line at a time
+    blocks = [args.words] if args.words else _stdin_blocks(sys.stdin)
     write = sys.stdout.write
+    for words in blocks:
+        answers = _answers(table, words, args.mark_oov)
+        if answers:
+            write("\n".join(answers) + "\n")
+    return 0
+
+
+def _stdin_blocks(stdin):
+    """Stripped stdin lines, one list per block of complete lines.
+
+    ``read1`` returns what is already there, so a pipe comes in 64 KiB
+    blocks and a terminal one line at a time; a cut last line is finished
+    by ``readline``, so no block splits a line or a UTF-8 character.
+    """
+    buffer = stdin.buffer
+    while block := buffer.read1(1 << 16):
+        if not block.endswith(b"\n"):
+            block += buffer.readline()
+        try:
+            text = block.decode(stdin.encoding, stdin.errors)
+        except UnicodeDecodeError as exc:
+            raise InputEncodingError(f"stdin: not valid {exc.encoding} ({exc.reason})") from None
+        yield [line.strip() for line in text.split("\n")]
+
+
+def _answers(table, words, mark_oov: bool) -> list[str]:
+    """One answer per non-empty word, as ``StemTable.get`` sees it."""
+    # the exact probe inline; ``table.get`` runs only for a miss
+    exact = table.entries.get
+    answers = []
     for word in words:
         if not word:
             continue
-        stem = table.get(word)
-        if stem is not None:
-            write(f"{stem}\n")
-        elif args.mark_oov:
-            write(f"{word}\t[OOV]\n")
-        else:
-            write(f"{word}\n")
-    return 0
+        stem = exact(word)
+        if stem is None:
+            stem = table.get(word)
+            if stem is None:
+                stem = f"{word}\t[OOV]" if mark_oov else word
+        answers.append(stem)
+    return answers
 
 
 def cmd_evaluate(args) -> int:

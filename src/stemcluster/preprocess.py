@@ -75,10 +75,16 @@ def tokenize(text: str) -> list[str]:
 
 
 def build_lexicon(tokens) -> Lexicon:
-    """Deduplicate tokens, drop one-character words, sort canonically."""
+    """Deduplicate tokens, drop one-character words, sort canonically.
+
+    Tokens are deduplicated before they are stripped, so each distinct
+    token is stripped once.  A plain sort followed by a stable sort on
+    length gives :func:`lexicon_sort_key` order without a key tuple per
+    word.
+    """
     tokens = list(tokens)
-    trimmed = (token.strip() for token in tokens)
-    words = sorted({t for t in trimmed if len(t) >= 2}, key=lexicon_sort_key)
+    words = sorted(word for word in {t.strip() for t in set(tokens)} if len(word) >= 2)
+    words.sort(key=len)
     return Lexicon(words=tuple(words), total_tokens=len(tokens))
 
 

@@ -16,6 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from stemcluster import build_lexicon
+from stemcluster.preprocess import Lexicon, lexicon_sort_key
 
 BANGLA_LETTERS = (
     "অআইঈউঊএঐওঔ"
@@ -42,6 +43,14 @@ def synthetic_lexicon(count: int, seed: int = 0):
             words.add(stem + rng.choice(SUFFIXES))
     ordered = sorted(words, key=lambda w: (len(w), w))[:count]
     return build_lexicon(ordered)
+
+
+def build_lexicon_oracle(tokens) -> Lexicon:
+    """Strip every token, keep words of two or more characters, sort by key."""
+    tokens = list(tokens)
+    trimmed = (token.strip() for token in tokens)
+    words = sorted({t for t in trimmed if len(t) >= 2}, key=lexicon_sort_key)
+    return Lexicon(words=tuple(words), total_tokens=len(tokens))
 
 
 def distinct_gram_list(word: str, order: str) -> list[str]:

@@ -1,22 +1,53 @@
 import contextlib
 import io
+import itertools
 import json
 import os
+import select
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stemcluster.cli import main
-from stemcluster.greedy import read_stem_table
+from stemcluster.greedy import read_stem_table, stem_word
 from stemcluster.clusters import read_cluster_report
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def _stdin(text: str, sizes=None) -> io.TextIOWrapper:
+    """A process-like stdin over ``text``; with ``sizes``, each raw read
+    returns the next of those byte counts, cycling."""
+    data = text.encode("utf-8")
+    buffer = io.BytesIO(data) if sizes is None else io.BufferedReader(_Trickle(data, sizes))
+    return io.TextIOWrapper(buffer, encoding="utf-8")
+
+
+class _Trickle(io.RawIOBase):
+    def __init__(self, data: bytes, sizes):
+        self._data, self._sizes, self._pos = data, itertools.cycle(sizes), 0
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        n = min(len(buffer), next(self._sizes), len(self._data) - self._pos)
+        buffer[:n] = self._data[self._pos : self._pos + n]
+        self._pos += n
+        return n
+
+
+def _src_env() -> dict[str, str]:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 @pytest.fixture
@@ -284,22 +315,106 @@ class TestStem:
         assert capsys.readouterr().out == "কাজ\nকখগঘ\n"
 
     def test_stdin_mode(self, trained, capsys, monkeypatch):
-        monkeypatch.setattr(sys, "stdin", io.StringIO("কাজের\nবইটি\n"))
+        monkeypatch.setattr(sys, "stdin", _stdin("কাজের\nবইটি\n"))
         assert run_cli("stem", str(trained["table"])) == 0
         assert capsys.readouterr().out == "কাজ\nবই\n"
         # blank lines are skipped, surrounding whitespace is stripped, and a
         # last line without a newline still gets one answer line
-        monkeypatch.setattr(sys, "stdin", io.StringIO("\n  কাজের \t\n\t\n\n বইটি"))
+        monkeypatch.setattr(sys, "stdin", _stdin("\n  কাজের \t\n\t\n\n বইটি"))
         assert run_cli("stem", str(trained["table"])) == 0
         assert capsys.readouterr().out == "কাজ\nবই\n"
-        monkeypatch.setattr(sys, "stdin", io.StringIO(" কখগঘ\n\nকাজের\r\nকখগঘ \n"))
+        monkeypatch.setattr(sys, "stdin", _stdin(" কখগঘ\n\nকাজের\r\nকখগঘ \n"))
         assert run_cli("stem", str(trained["table"]), "--mark-oov") == 0
         assert capsys.readouterr().out == "কখগঘ\t[OOV]\nকাজ\nকখগঘ\t[OOV]\n"
 
     def test_empty_stdin(self, trained, capsys, monkeypatch):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+        monkeypatch.setattr(sys, "stdin", _stdin(""))
         assert run_cli("stem", str(trained["table"])) == 0
         assert capsys.readouterr().out == ""
+
+    @settings(max_examples=200)
+    @given(
+        lines=st.lists(st.tuples(
+            st.sampled_from(["", " ", "\t", " \t "]),
+            st.sampled_from(["", "কাজের", "বইটি", "কাজ", "কখগঘ", "কাজের,", "«বইটি»", "ab", "কাজ, বই"]),
+            st.sampled_from(["", " ", "\t"]),
+            st.sampled_from(["\n", "\r\n"]),
+        ), max_size=12),
+        last=st.sampled_from(["", "কাজের", " বইটি\t", "কখগঘ"]),
+        sizes=st.lists(st.integers(1, 7), min_size=1, max_size=5),
+        mark_oov=st.booleans(),
+    )
+    def test_stdin_blocks_match_per_line_oracle(self, demo_expected_dir, lines, last, sizes,
+                                                mark_oov):
+        """Reads of 1-7 bytes split Bangla characters and lines anywhere."""
+        path = demo_expected_dir / "greedy_stems.tsv"
+        text = "".join("".join(parts) for parts in lines) + last
+        table = read_stem_table(path)
+        want = ""
+        for line in text.split("\n"):
+            word = line.strip()
+            if word:
+                oov = mark_oov and table.get(word) is None
+                want += f"{word}\t[OOV]\n" if oov else f"{stem_word(table, word)}\n"
+        argv = ["stem", str(path)] + ["--mark-oov"] * mark_oov
+        out, stdin = io.StringIO(), sys.stdin
+        try:
+            sys.stdin = _stdin(text, sizes)
+            with contextlib.redirect_stdout(out):
+                assert main(argv) == 0
+        finally:
+            sys.stdin = stdin
+        assert out.getvalue() == want
+
+    def test_long_line_in_small_reads_is_one_answer(self, trained, capsys, monkeypatch):
+        line = "কখগ" * (4 * 2**20 // 9)  # 4 MiB of UTF-8, 3 bytes a character
+        monkeypatch.setattr(sys, "stdin", _stdin(f"{line}\nকাজের\n", sizes=[1024]))
+        start = time.perf_counter()
+        assert run_cli("stem", str(trained["table"])) == 0
+        elapsed = time.perf_counter() - start
+        assert capsys.readouterr().out == f"{line}\nকাজ\n"
+        assert elapsed < 1.0
+
+    def test_pipe_answers_each_line_before_stdin_closes(self, trained):
+        proc = subprocess.Popen(
+            [sys.executable, "-u", "-m", "stemcluster", "stem", str(trained["table"])],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env(),
+        )
+        try:
+            proc.stdin.write("কাজের\n".encode("utf-8"))
+            proc.stdin.flush()
+            ready, _, _ = select.select([proc.stdout], [], [], 10)
+            assert ready, "no answer within 10 s while stdin stayed open"
+            assert proc.stdout.readline().decode("utf-8") == "কাজ\n"
+        finally:
+            proc.stdin.close()
+            proc.stdout.close()
+            proc.stderr.close()
+            proc.wait(timeout=10)
+        assert proc.returncode == 0
+
+    @pytest.mark.parametrize("redirect, words, stream", [
+        ("<&-", [], "stdin"),
+        (">&-", ["কাজের"], "stdout"),
+    ])
+    def test_closed_stream_is_one_error_line(self, trained, redirect, words, stream):
+        proc = subprocess.run(
+            ["sh", "-c", f'"$@" {redirect}', "sh",
+             sys.executable, "-m", "stemcluster", "stem", str(trained["table"]), *words],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env(), timeout=60,
+        )
+        assert proc.returncode == 1
+        err = proc.stderr.decode("utf-8")
+        assert err.startswith(f"error: {stream} is closed")
+        assert err.count("\n") == 1
+
+    def test_undecodable_stdin_is_one_error_line(self, trained, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\n"), encoding="utf-8"))
+        assert run_cli("stem", str(trained["table"])) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: stdin: not valid utf-8")
+        assert captured.err.count("\n") == 1
 
     def test_mark_oov(self, trained, capsys):
         run_cli("stem", str(trained["table"]), "কাজের", "কখগঘ", "--mark-oov")
@@ -536,17 +651,19 @@ steps = [
     ("evaluate", ["evaluate", report, gold], ""),
     ("stem words", ["stem", table, "কাজের", "কখগঘ"], ""),
     ("stem stdin", ["stem", table], "কাজের\\nবইটি\\n"),
+    ("train refused", ["train", lexicon, "--backend", "ap-coeff", "--max-points", "2",
+                       "--stem-table", workdir + "/t.tsv", "--report", workdir + "/r.json"], ""),
     ("train greedy", ["train", lexicon, "--backend", "greedy",
                       "--stem-table", workdir + "/t.tsv", "--report", workdir + "/r.json"], ""),
 ]
 for name, argv, stdin in steps:
-    sys.stdin = io.StringIO(stdin)
+    sys.stdin = io.TextIOWrapper(io.BytesIO(stdin.encode()), encoding="utf-8")
     with contextlib.redirect_stdout(io.StringIO()):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    assert code == 0, (name, code)
+    assert code == (1 if name == "train refused" else 0), (name, code)
     loaded.append((name, *heavy()))
 print(json.dumps(loaded))
 """
@@ -554,14 +671,11 @@ print(json.dumps(loaded))
 
 class TestEntryPoint:
     def test_only_train_loads_numpy(self, tmp_path, demo_corpus, demo_gold, demo_expected_dir):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-c", _NUMPY_PROBE, str(demo_corpus), str(demo_gold),
              str(demo_expected_dir / "greedy_report.json"),
              str(demo_expected_dir / "greedy_stems.tsv"), str(tmp_path)],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=_src_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [
@@ -571,6 +685,8 @@ class TestEntryPoint:
             ["evaluate", False, False],
             ["stem words", False, False],
             ["stem stdin", False, False],
+            # the size guard refuses the run before numpy is imported
+            ["train refused", False, False],
             # the probe does see numpy once a command needs it
             ["train greedy", True, False],
         ]

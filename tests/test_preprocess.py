@@ -11,8 +11,18 @@ from stemcluster.preprocess import (
     write_lexicon,
 )
 
+from helpers import build_lexicon_oracle
+
 bengali_tokens = st.text(
     alphabet=st.characters(min_codepoint=0x0985, max_codepoint=0x09B9), max_size=6
+)
+# drawn from a small pool, so lists repeat tokens; a token may be one
+# character, whitespace only, padded, or mix Bangla with Latin and marks
+padded_tokens = st.builds(
+    lambda left, core, right: left + core + right,
+    st.text(alphabet=" \t\n\u00a0\u3000", max_size=2),
+    st.text(alphabet="কখগাি্অaZ\u0301", max_size=4),
+    st.text(alphabet=" \t\n\u00a0\u3000", max_size=2),
 )
 
 
@@ -91,6 +101,13 @@ class TestBuildLexicon:
     @given(st.lists(bengali_tokens))
     def test_deterministic_in_token_multiset(self, tokens):
         assert build_lexicon(tokens) == build_lexicon(list(reversed(tokens)))
+
+    @given(st.lists(padded_tokens, max_size=8).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), max_size=30) if pool else st.just([])
+    ))
+    def test_matches_strip_then_deduplicate_oracle(self, tokens):
+        got, want = build_lexicon(tokens), build_lexicon_oracle(tokens)
+        assert (got.words, got.total_tokens) == (want.words, want.total_tokens)
 
 
 class TestPipeline:
