@@ -166,9 +166,10 @@ def cmd_stem(args) -> int:
 def _stdin_blocks(stdin):
     """Stripped stdin lines, one list per block of complete lines.
 
-    ``read1`` returns what is already there, so a pipe comes in 64 KiB
-    blocks and a terminal one line at a time; a cut last line is finished
-    by ``readline``, so no block splits a line or a UTF-8 character.
+    ``read1`` returns up to 64 KiB of what is already there without
+    waiting for more, so a terminal hands over one line at a time; a cut
+    last line is finished by ``readline``, so no block splits a line or a
+    UTF-8 character.
     """
     buffer = stdin.buffer
     while block := buffer.read1(1 << 16):

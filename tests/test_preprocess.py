@@ -16,8 +16,8 @@ from helpers import build_lexicon_oracle
 bengali_tokens = st.text(
     alphabet=st.characters(min_codepoint=0x0985, max_codepoint=0x09B9), max_size=6
 )
-# drawn from a small pool, so lists repeat tokens; a token may be one
-# character, whitespace only, padded, or mix Bangla with Latin and marks
+# a token may be one character, whitespace only, padded, or mix Bangla
+# with Latin letters and a combining mark
 padded_tokens = st.builds(
     lambda left, core, right: left + core + right,
     st.text(alphabet=" \t\n\u00a0\u3000", max_size=2),
@@ -102,6 +102,7 @@ class TestBuildLexicon:
     def test_deterministic_in_token_multiset(self, tokens):
         assert build_lexicon(tokens) == build_lexicon(list(reversed(tokens)))
 
+    # tokens are drawn from a small pool, so most lists repeat some
     @given(st.lists(padded_tokens, max_size=8).flatmap(
         lambda pool: st.lists(st.sampled_from(pool), max_size=30) if pool else st.just([])
     ))
