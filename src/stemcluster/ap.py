@@ -7,16 +7,20 @@ distance, values in [-200, 0]).  The diagonal carries the preference;
 higher preferences buy more clusters.  The per-mode range check and the
 median preference both read ``SimilarityMatrix.off_diagonal``, a view.
 
-The median matrix is built with array code rather than one
-``ngrams.median_offset_distance`` call per pair.  A first-occurrence
-table holds, per word, the first position of every character of the
-lexicon's alphabet.  Row i gathers only the columns of its own distinct
-characters against the later words, takes absolute position offsets,
-sorts them along that short axis and reads the median of the shared
-ones; the far-distance rules then apply exactly as in the scalar
-definition, so every entry equals ``median_offset_distance`` bit for
-bit.  Temporaries stay at one [n, m] block per row, m being the row
-word's distinct-character count.
+The median measure of two words is the median absolute difference of
+the first-occurrence positions of the characters they share, negated so
+that larger is always more similar.  It is the far sentinel -200 when
+the words share no character, or when that median exceeds the shorter
+word's length or 200; values lie in [-200, 0].  The median matrix is
+built with array code rather than one scalar call per pair.  A
+first-occurrence table holds, per word, the first position of every
+character of the lexicon's alphabet.  Row i gathers only the columns of
+its own distinct characters against the later words, takes absolute
+position offsets, sorts them along that short axis and reads the median
+of the shared ones; the far-distance rules then apply exactly as in the
+scalar definition, so every entry equals it bit for bit (the tests keep
+the scalar form as an oracle).  Temporaries stay at one [n, m] block per
+row, m being the row word's distinct-character count.
 
 Every point starts as a potential exemplar.  Each iteration sends
 responsibilities
@@ -32,23 +36,32 @@ each blended as damping*old + (1-damping)*new.  Iteration stops once the
 exemplar set {k : r(k,k) + a(k,k) > 0} has been stable for a window of
 15 iterations, or at the iteration cap.
 
-``message_passing`` works in one buffer set: it reads S and allocates
-R, A and one scratch matrix ``tmp`` once, before the loop.  Each
-iteration writes a(i,k)+s(i,k), the new responsibilities and the new
-availabilities into ``tmp`` and blends them into R and A in place, in
-the same float64 operation order as the textbook update, so the
-messages are bitwise those of the version with a fresh temporary per
-step.  ``run_ap`` adds one working copy of S for the tie-break below,
-so a run allocates about 4 x n^2 x 8 B on top of the matrix, and frees
-the copy, R and A before it gathers each point's exemplar similarities;
+``message_passing`` reads S and allocates R, A and one (B+1) x n
+scratch once, before the loop; B is the number of rows that fit in
+``_BLOCK_BYTES`` (at least 1, at most n).  Each iteration makes two
+passes over blocks of B rows.  The first writes a block's a(i,k)+s(i,k)
+and new responsibilities into scratch rows 1..B, blends them into R,
+then writes the block's clipped responsibilities there and folds them
+into the column sums held in scratch row 0, with one reduce over rows
+0..B.  That reduce adds the rows one after another, as a whole-matrix
+sum(axis=0) does, so the sums are bitwise the same; adding per-block
+partial sums would not be.  The second pass clips each block again,
+computes its availabilities and blends them into A.  Every element sees
+the same float64 operations as in the textbook update, so the messages
+are bitwise those of the version with a fresh n x n temporary per step.
+A run therefore holds three n x n arrays, the matrix, R and A; R and A
+are freed before each point's exemplar similarities are gathered.
 ``PEAK_N2`` is the process peak that the capacity guard reports.
 
 Exactly tied instances (e.g. two identical points with equal preference)
 make the messages perfectly symmetric and every self-belief converges to
-zero, electing nobody.  To stay deterministic without random noise, the
-working copy lowers point k's preference by k * 1e-12 * max|s| before
-iterating; the ordering-based tiebreak is far below any meaningful
-similarity difference.
+zero, electing nobody.  To stay deterministic without random noise,
+``run_ap`` lowers point k's preference by k * 1e-12 * max|s| in place
+for the length of the message passing, then restores the saved diagonal,
+even when message passing raises; the ordering-based tiebreak is far
+below any meaningful similarity difference.  The assignment step never
+reads a non-exemplar's own entry and sets each exemplar's by hand, so it
+sees the same clusters either way.
 
 Dense [n, n] messages mean quadratic memory, so matrix construction
 refuses lexicons beyond ``max_points`` up front instead of dying with a
@@ -83,11 +96,15 @@ MEDIAN_PREFERENCE = "median"
 
 _TIE_BREAK = 1e-12
 
-# process peak of an AP run in units of n^2 * 8 B: the matrix, run_ap's
-# working copy, R, A and tmp.  Peak RSS over a 2-word run, `train
-# --max-iter 10` on 3 000 / 6 000 synthetic words: ap-coeff 5.02 / 5.02,
-# ap-median 5.04 / 5.01; the largest, rounded up to the next 0.5
-PEAK_N2 = 5.5
+# message passing works on blocks of rows about this many bytes wide, so a
+# block stays in cache across the several passes each update makes over it
+_BLOCK_BYTES = 1 << 19
+
+# process peak of an AP run in units of n^2 * 8 B: the matrix, R and A, plus
+# the block scratch.  Peak RSS over a 2-word run, `train --max-iter 10` on
+# 3 000 / 6 000 synthetic words: ap-coeff 3.03 / 3.02, ap-median 3.05 /
+# 3.02; the largest, rounded up to the next 0.5
+PEAK_N2 = 3.5
 
 
 @dataclass(frozen=True)
@@ -124,6 +141,9 @@ class SimilarityMatrix:
 
         self.words = tuple(self.words)
         self.s = np.ascontiguousarray(self.s, dtype=np.float64)
+        if not self.s.flags.writeable:
+            # run_ap lowers the diagonal in place for the length of a run
+            self.s = self.s.copy()
         n = len(self.words)
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
@@ -265,40 +285,62 @@ def message_passing(
     S = np.asarray(S, dtype=np.float64)
     R = np.zeros_like(S)
     A = np.zeros_like(S)
-    # tmp holds a(i,k)+s(i,k), then the new responsibilities, then the new
-    # availabilities; every step writes in place, so no [n, n] array is
-    # allocated inside the loop
-    tmp = np.empty_like(S)
-    rows = np.arange(n)
-    diagonal = slice(None, None, n + 1)
+    size = max(1, min(n, _BLOCK_BYTES // (8 * n)))
+    # rows 1..b of ``scratch`` hold one block's a(i,k)+s(i,k), then its new
+    # responsibilities, clipped responsibilities and new availabilities;
+    # row 0 holds the column sums of the clipped rows before the block
+    scratch = np.empty((size + 1, n))
+    column_sums = scratch[0]
+    # per block: its row slice, local row numbers and flat diagonal offsets
+    blocks = []
+    for lo in range(0, n, size):
+        hi = min(lo + size, n)
+        local = np.arange(hi - lo)
+        blocks.append((slice(lo, hi), local, local * (n + 1) + lo))
     previous: tuple[int, ...] | None = None
     stable = 0
     converged = False
     iteration = 0
     for iteration in range(1, max_iterations + 1):
-        np.add(A, S, out=tmp)
-        best = np.argmax(tmp, axis=1)
-        first_max = tmp[rows, best]
-        tmp[rows, best] = -np.inf
-        second_max = tmp.max(axis=1)
-        np.subtract(S, first_max[:, None], out=tmp)
-        tmp[rows, best] = S[rows, best] - second_max
-        R *= damping
-        tmp *= 1.0 - damping
-        R += tmp
+        fold_from = 1  # the first block has no running sums to fold into
+        for block, local, diagonal in blocks:
+            b = len(local)
+            tmp = scratch[1 : b + 1]
+            R_block = R[block]
+            S_block = S[block]
+            np.add(A[block], S_block, out=tmp)
+            best = np.argmax(tmp, axis=1)
+            first_max = tmp[local, best]
+            tmp[local, best] = -np.inf
+            second_max = tmp.max(axis=1)
+            np.subtract(S_block, first_max[:, None], out=tmp)
+            tmp[local, best] = S_block[local, best] - second_max
+            R_block *= damping
+            tmp *= 1.0 - damping
+            R_block += tmp
+            # fold the clipped rows into the running column sums; one
+            # reduce over rows 0..b adds them row by row, in the order of
+            # a whole-matrix sum(axis=0), so the sums are bitwise equal
+            np.maximum(R_block, 0.0, out=tmp)
+            tmp.flat[diagonal] = R_block.flat[diagonal]
+            np.add.reduce(scratch[fold_from : b + 1], axis=0, out=column_sums)
+            fold_from = 0
 
-        # the column sums and availabilities follow the textbook operation
-        # order; a negated ``tmp -= column_sums`` could flip zeros' signs
-        np.maximum(R, 0.0, out=tmp)
-        tmp.flat[diagonal] = R.flat[diagonal]
-        column_sums = tmp.sum(axis=0)
-        np.subtract(column_sums[None, :], tmp, out=tmp)
-        self_availability = tmp.flat[diagonal]  # flat slicing copies
-        np.minimum(tmp, 0.0, out=tmp)
-        tmp.flat[diagonal] = self_availability
-        A *= damping
-        tmp *= 1.0 - damping
-        A += tmp
+        # the availabilities follow the textbook operation order; a negated
+        # ``tmp -= column_sums`` could flip zeros' signs
+        for block, local, diagonal in blocks:
+            tmp = scratch[1 : len(local) + 1]
+            R_block = R[block]
+            np.maximum(R_block, 0.0, out=tmp)
+            tmp.flat[diagonal] = R_block.flat[diagonal]
+            np.subtract(column_sums[None, :], tmp, out=tmp)
+            self_availability = tmp.flat[diagonal]  # fancy indexing copies
+            np.minimum(tmp, 0.0, out=tmp)
+            tmp.flat[diagonal] = self_availability
+            A_block = A[block]
+            A_block *= damping
+            tmp *= 1.0 - damping
+            A_block += tmp
 
         exemplars = tuple(np.flatnonzero(R.diagonal() + A.diagonal() > 0.0))
         if exemplars == previous:
@@ -322,14 +364,19 @@ def run_ap(matrix: SimilarityMatrix, config: APConfig | None = None) -> APResult
 
     cfg = config or APConfig()
     n = len(matrix.words)
-    S = np.array(matrix.s, dtype=np.float64, copy=True)
-    scale = float(np.max(np.abs(S)))
+    s = matrix.s
+    scale = float(np.max(np.abs(s)))
     if scale == 0.0:
         scale = 1.0
-    S[np.arange(n), np.arange(n)] -= np.arange(n) * scale * _TIE_BREAK
-    R, A, iterations, converged = message_passing(S, cfg.damping, cfg.max_iterations)
+    points = np.arange(n)
+    preferences = s.diagonal().copy()
+    try:
+        s[points, points] -= points * scale * _TIE_BREAK
+        R, A, iterations, converged = message_passing(s, cfg.damping, cfg.max_iterations)
+    finally:
+        s[points, points] = preferences
     beliefs = R.diagonal() + A.diagonal()
-    del S, R, A  # free the messages before the n x exemplars gathers below
+    del R, A  # free the messages before the n x exemplars gathers below
     exemplar_indices = np.flatnonzero(beliefs > 0.0)
     if exemplar_indices.size == 0:
         raise DegenerateClusteringError(

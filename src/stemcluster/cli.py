@@ -226,6 +226,11 @@ def main(argv=None) -> int:
     except (StemclusterError, OSError) as exc:
         print(f"error: {_one_line(exc)}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 1
+    except UnicodeEncodeError as exc:
+        # every file is written as UTF-8, so only stdout's encoding can refuse
+        print(f"error: stdout: cannot encode the output as {exc.encoding} ({exc.reason})",
+              file=sys.stderr)
+        return 1
 
 
 def _one_line(exc: Exception) -> str:

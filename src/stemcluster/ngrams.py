@@ -4,19 +4,15 @@
 trigrams, or both pooled), and ``dice_ratio`` is the one 2C/(A+B)
 expression: the word-level ``dice``, the greedy join test and the
 affinity-propagation coefficient matrix all call it.
-``median_offset_distance`` is the alternative measure fed to the
-median-similarity clustering mode: the median absolute difference of
-first-occurrence positions of the characters two words share, negated so
-that larger is always more similar, with 200 as the "very far" sentinel.
-It is the scalar definition: the affinity-propagation backend builds its
-median matrix with equivalent array code (see ``ap``), and the tests
-compare every entry of that matrix with this function.
+The median-offset measure, the alternative fed to the median-similarity
+clustering mode, is defined and built in ``ap``; this module holds its
+name ``MEDIAN`` and its far sentinel ``FAR_DISTANCE``.
 
 ``gram_index`` is the array form of a whole lexicon's gram sets that both
 clustering backends read: integer gram ids, set sizes and posting lists,
-built once per run without keeping a set or string per word.  numpy and
-``statistics`` are imported only inside the functions that use them, so
-the commands that never cluster start without either.
+built once per run without keeping a set or string per word.  numpy is
+imported only inside the functions that use it, so the commands that
+never cluster start without it.
 """
 
 from __future__ import annotations
@@ -116,22 +112,3 @@ def gram_index(words, order: str = BIGRAM) -> GramIndex:
     owners = np.repeat(np.arange(len(sizes)), sizes)
     postings = owners[np.argsort(grams, kind="stable")]
     return GramIndex(sizes, word_starts, grams, gram_starts, postings)
-
-
-def median_offset_distance(w1: str, w2: str) -> float:
-    """Negated median first-occurrence offset over shared characters.
-
-    Returns a value in [-200, 0].  The sentinel -200 applies when the words
-    share no character or when the median offset exceeds the shorter word's
-    length.
-    """
-    from statistics import median
-
-    shared = set(w1) & set(w2)
-    if not shared:
-        return -FAR_DISTANCE
-    offsets = [abs(w1.index(ch) - w2.index(ch)) for ch in shared]
-    distance = float(median(offsets))
-    if distance > min(len(w1), len(w2)) or distance > FAR_DISTANCE:
-        distance = FAR_DISTANCE
-    return -distance

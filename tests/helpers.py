@@ -3,19 +3,24 @@
 Everything here is deliberately written without reusing the package's own
 set-based machinery, so a test comparing the two routes is a genuine
 cross-check: gram lists are deduplicated by linear scan, overlaps counted
-by pairwise comparison, the greedy walk re-enacted literally, the
-exemplar optimum found by exhaustive subset search, and the AP messages
-computed with a fresh temporary per step.
+by pairwise comparison, the greedy walk re-enacted literally, the median
+offset measured one word pair at a time, the exemplar optimum found by
+exhaustive subset search, and the AP messages computed with a fresh
+temporary per step.
 """
 
 from __future__ import annotations
 
+import os
 import random
 from itertools import combinations
+from pathlib import Path
+from statistics import median
 
 import numpy as np
 
 from stemcluster import build_lexicon
+from stemcluster.ngrams import FAR_DISTANCE
 from stemcluster.preprocess import Lexicon, lexicon_sort_key
 
 BANGLA_LETTERS = (
@@ -26,6 +31,13 @@ BANGLA_LETTERS = (
 )
 
 SUFFIXES = ("ের", "রা", "টা", "টি", "তে", "কে", "গুলো", "গুলি", "দের", "ে", "র")
+
+
+def src_env() -> dict[str, str]:
+    """The environment with this checkout's ``src`` first on PYTHONPATH, for subprocesses."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def random_word(rng: random.Random, min_len: int = 2, max_len: int = 10) -> str:
@@ -76,6 +88,23 @@ def dice_oracle(w1: str, w2: str, order: str = "2") -> float:
     if denominator == 0:
         return 0.0
     return 2 * common / denominator
+
+
+def median_offset_distance(w1: str, w2: str) -> float:
+    """Negated median first-occurrence offset over shared characters.
+
+    The scalar definition of the median-offset measure.  Returns a value in
+    [-200, 0].  The sentinel -200 applies when the words share no character
+    or when the median offset exceeds the shorter word's length or 200.
+    """
+    shared = set(w1) & set(w2)
+    if not shared:
+        return -FAR_DISTANCE
+    offsets = [abs(w1.index(ch) - w2.index(ch)) for ch in shared]
+    distance = float(median(offsets))
+    if distance > min(len(w1), len(w2)) or distance > FAR_DISTANCE:
+        distance = FAR_DISTANCE
+    return -distance
 
 
 def greedy_oracle(words, order: str = "2", threshold: float = 0.06):

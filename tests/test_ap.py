@@ -1,13 +1,16 @@
 import random
+import subprocess
+import sys
 import tracemalloc
 from itertools import product
+from unittest import mock
 from statistics import median as stat_median
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stemcluster import build_lexicon
+from stemcluster import ap, build_lexicon, write_lexicon
 from stemcluster.ap import (
     APConfig,
     COEFFICIENT,
@@ -20,14 +23,17 @@ from stemcluster.ap import (
 )
 from stemcluster.errors import CapacityError, ConfigError, DegenerateClusteringError
 from stemcluster.evaluation import report_stats
-from stemcluster.ngrams import COMBINED, dice, median_offset_distance
+from stemcluster.ngrams import COMBINED, dice
 
 from helpers import (
     BANGLA_LETTERS,
     best_net_similarity,
+    median_offset_distance,
     message_passing_oracle,
     net_similarity,
     random_word,
+    src_env,
+    synthetic_lexicon,
 )
 
 
@@ -44,6 +50,17 @@ _median_words = st.one_of(
         _short_words,
     ),
 )
+
+
+# Starts a command and prints its exit code and peak RSS in KiB.  Linux
+# folds the RSS of the process that starts a command into the command's
+# peak, so a bare interpreter starts it rather than the test process.
+_PEAK_PROBE = """
+import os, sys
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
 
 
 def random_similarity(rng, n, low=0.0, high=1.0, preference=None):
@@ -208,9 +225,33 @@ class TestBuildSimilarityMatrix:
             build_similarity_matrix(lexicon, COEFFICIENT)
         message = str(err.value)
         assert "max_points=20000" in message
-        # never less than the matrix, run_ap's working copy, R, A and tmp
-        assert PEAK_N2 >= 5
         assert f"{PEAK_N2 * n * n * 8 / 2**30:.1f} GiB" in message
+
+    @pytest.mark.parametrize("backend", ["ap-coeff", "ap-median"])
+    def test_estimated_peak_bounds_measured_process_peak(self, tmp_path, backend):
+        # the guard's estimate must cover what a run really takes: peak RSS
+        # of `train` at 3 000 words over that of a 2-word run
+        n = 3000
+
+        def peak_bytes(lexicon):
+            path = tmp_path / f"lexicon-{len(lexicon.words)}.txt"
+            write_lexicon(lexicon, path)
+            command = [sys.executable, "-m", "stemcluster", "train", str(path),
+                       "--backend", backend, "--max-iter", "2",
+                       "--stem-table", str(tmp_path / "stems.tsv"),
+                       "--report", str(tmp_path / "report.json")]
+            proc = subprocess.run(
+                [sys.executable, "-c", _PEAK_PROBE, *command],
+                capture_output=True, text=True, env=src_env(), timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            code, max_rss_kib = proc.stdout.split()[-2:]
+            assert code == "0", proc.stdout
+            return int(max_rss_kib) * 1024
+
+        base = peak_bytes(synthetic_lexicon(2, seed=3))
+        peak = peak_bytes(synthetic_lexicon(n, seed=3))
+        assert peak - base <= PEAK_N2 * n * n * 8
 
     def test_too_few_words_rejected(self):
         with pytest.raises(ConfigError):
@@ -276,6 +317,35 @@ class TestRunAP:
         assert first.exemplars == second.exemplars
         assert first.iterations == second.iterations
 
+    def test_leaves_the_matrix_unchanged(self):
+        s = random_similarity(np.random.default_rng(29), 9)
+        s[2, 2] = -0.0  # a zero's sign survives the restore
+        matrix = matrix_from(s)
+        before = matrix.s.tobytes()
+        run_ap(matrix)
+        assert matrix.s.tobytes() == before
+
+    def test_leaves_the_matrix_unchanged_when_message_passing_raises(self):
+        matrix = matrix_from(random_similarity(np.random.default_rng(31), 9))
+        before = matrix.s.tobytes()
+
+        def fail(S, *args):
+            assert S is matrix.s  # the tie-break is applied in place
+            raise KeyboardInterrupt
+
+        with mock.patch.object(ap, "message_passing", fail):
+            with pytest.raises(KeyboardInterrupt):
+                run_ap(matrix)
+        assert matrix.s.tobytes() == before
+
+    def test_read_only_matrix_runs(self):
+        s = random_similarity(np.random.default_rng(37), 8)
+        s.flags.writeable = False
+        matrix = matrix_from(s)
+        result = run_ap(matrix)
+        assert result == run_ap(matrix_from(s.copy()))
+        assert sorted(w for c in result.clusters for w in c.members) == list(matrix.words)
+
     def test_net_similarity_matches_exhaustive_optimum_on_small_cases(self):
         rng = np.random.default_rng(37)
         hits = 0
@@ -320,6 +390,9 @@ class TestMessagePassing:
         with pytest.raises(ConfigError):
             message_passing(np.zeros((1, 1)))
 
+    # rows per block: fixed counts, capped at n, and n - 1, which leaves a
+    # last block of one row; 40 rows in blocks of 7 end in a block of 5
+    @pytest.mark.parametrize("block_rows", [1, 2, 7, "n-1", "n"])
     @settings(max_examples=60)
     @given(
         st.integers(2, 40),
@@ -329,7 +402,16 @@ class TestMessagePassing:
     )
     @example(n=2, kind="constant", seed=0, damping=0.5)
     @example(n=40, kind="ties", seed=1, damping=0.9)
-    def test_in_place_updates_equal_textbook_oracle_bitwise(self, n, kind, seed, damping):
+    @example(n=17, kind="spread", seed=2, damping=0.5)
+    def test_in_place_updates_equal_textbook_oracle_bitwise(
+        self, block_rows, n, kind, seed, damping
+    ):
+        rows = {"n-1": max(n - 1, 1), "n": n}.get(block_rows, block_rows)
+        with mock.patch.object(ap, "_BLOCK_BYTES", rows * 8 * n):
+            self._check_against_oracle(n, kind, seed, damping)
+
+    @staticmethod
+    def _check_against_oracle(n, kind, seed, damping):
         rng = np.random.default_rng(seed)
         if kind == "constant":
             s = np.full((n, n), float(rng.integers(-3, 4)))
@@ -351,7 +433,9 @@ class TestMessagePassing:
         assert converged == oracle_converged
 
     def test_peak_memory_is_one_buffer_set(self):
-        n = 400
+        # large enough that the block scratch, about 512 KiB, is a small
+        # share of one n x n array
+        n = 1000
         matrix = matrix_from(random_similarity(np.random.default_rng(4), n))
         config = APConfig(max_iterations=20)
 
@@ -363,16 +447,16 @@ class TestMessagePassing:
 
         tracemalloc.start()
         try:
-            # R, A and tmp; run_ap adds its working copy of S
+            # R, A and the block scratch; run_ap works on the matrix in place
             passing = peak_n2(lambda: message_passing(matrix.s, max_iterations=20))
             run = peak_n2(lambda: run_ap(matrix, config))
         finally:
             tracemalloc.stop()
-        assert passing <= 3.1
-        assert run <= 4.1
+        assert passing <= 2.1
+        assert run <= 2.1
 
         # every point an exemplar: the n x exemplars gathers of the
-        # assignment step must not stack on S, R and A
+        # assignment step must not stack on R and A
         matrix = matrix_from(random_similarity(np.random.default_rng(4), n, preference=5.0))
         results = []
         tracemalloc.start()
@@ -381,7 +465,7 @@ class TestMessagePassing:
         finally:
             tracemalloc.stop()
         assert len(results[0].exemplars) == n
-        assert run <= 4.1
+        assert run <= 2.1
 
 
 class TestApStats:

@@ -2,7 +2,6 @@ import contextlib
 import io
 import itertools
 import json
-import os
 import select
 import subprocess
 import sys
@@ -16,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 from stemcluster.cli import main
 from stemcluster.greedy import read_stem_table, stem_word
 from stemcluster.clusters import read_cluster_report
+
+from helpers import src_env
 
 
 def run_cli(*argv):
@@ -42,12 +43,6 @@ class _Trickle(io.RawIOBase):
         buffer[:n] = self._data[self._pos : self._pos + n]
         self._pos += n
         return n
-
-
-def _src_env() -> dict[str, str]:
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 @pytest.fixture
@@ -378,7 +373,7 @@ class TestStem:
     def test_pipe_answers_each_line_before_stdin_closes(self, trained):
         proc = subprocess.Popen(
             [sys.executable, "-u", "-m", "stemcluster", "stem", str(trained["table"])],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env(),
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env(),
         )
         try:
             proc.stdin.write("কাজের\n".encode("utf-8"))
@@ -401,11 +396,23 @@ class TestStem:
         proc = subprocess.run(
             ["sh", "-c", f'"$@" {redirect}', "sh",
              sys.executable, "-m", "stemcluster", "stem", str(trained["table"]), *words],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env(), timeout=60,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env(), timeout=60,
         )
         assert proc.returncode == 1
         err = proc.stderr.decode("utf-8")
         assert err.startswith(f"error: {stream} is closed")
+        assert err.count("\n") == 1
+
+    def test_stdout_that_cannot_encode_bangla_is_one_error_line(self, trained):
+        proc = subprocess.run(
+            [sys.executable, "-m", "stemcluster", "stem", str(trained["table"]), "কাজের"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**src_env(), "PYTHONIOENCODING": "ascii"}, timeout=60,
+        )
+        assert proc.returncode == 1
+        err = proc.stderr.decode("ascii")
+        assert "Traceback" not in err
+        assert err.startswith("error: stdout: cannot encode the output as ascii")
         assert err.count("\n") == 1
 
     def test_undecodable_stdin_is_one_error_line(self, trained, capsys, monkeypatch):
@@ -675,7 +682,7 @@ class TestEntryPoint:
             [sys.executable, "-c", _NUMPY_PROBE, str(demo_corpus), str(demo_gold),
              str(demo_expected_dir / "greedy_report.json"),
              str(demo_expected_dir / "greedy_stems.tsv"), str(tmp_path)],
-            capture_output=True, text=True, env=_src_env(),
+            capture_output=True, text=True, env=src_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == [

@@ -13,10 +13,9 @@ from stemcluster.ngrams import (
     dice_ratio,
     gram_index,
     gram_set,
-    median_offset_distance,
 )
 
-from helpers import BANGLA_LETTERS, dice_oracle, distinct_gram_list
+from helpers import BANGLA_LETTERS, dice_oracle, distinct_gram_list, median_offset_distance
 
 words = st.text(alphabet=st.sampled_from(BANGLA_LETTERS), min_size=2, max_size=14)
 orders = st.sampled_from([BIGRAM, TRIGRAM, COMBINED])
