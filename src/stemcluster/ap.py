@@ -321,6 +321,7 @@ def message_passing(
             # fold the clipped rows into the running column sums; one
             # reduce over rows 0..b adds them row by row, in the order of
             # a whole-matrix sum(axis=0), so the sums are bitwise equal
+            # (numpy buffers the output row that the input overlaps)
             np.maximum(R_block, 0.0, out=tmp)
             tmp.flat[diagonal] = R_block.flat[diagonal]
             np.add.reduce(scratch[fold_from : b + 1], axis=0, out=column_sums)

@@ -1,4 +1,4 @@
-"""Character n-gram sets and the two word-pair similarity measures.
+"""Character n-gram sets, dice similarity, and the median-offset mode name.
 
 ``gram_set`` defines a word's distinct grams for a gram order (bigrams,
 trigrams, or both pooled), and ``dice_ratio`` is the one 2C/(A+B)

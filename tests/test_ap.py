@@ -3,8 +3,8 @@ import subprocess
 import sys
 import tracemalloc
 from itertools import product
-from unittest import mock
 from statistics import median as stat_median
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -406,12 +406,6 @@ class TestMessagePassing:
     def test_in_place_updates_equal_textbook_oracle_bitwise(
         self, block_rows, n, kind, seed, damping
     ):
-        rows = {"n-1": max(n - 1, 1), "n": n}.get(block_rows, block_rows)
-        with mock.patch.object(ap, "_BLOCK_BYTES", rows * 8 * n):
-            self._check_against_oracle(n, kind, seed, damping)
-
-    @staticmethod
-    def _check_against_oracle(n, kind, seed, damping):
         rng = np.random.default_rng(seed)
         if kind == "constant":
             s = np.full((n, n), float(rng.integers(-3, 4)))
@@ -422,7 +416,9 @@ class TestMessagePassing:
                 values = rng.uniform(-5.0, 5.0, size=(n, n))
             s = values + values.T
         s_bytes = s.tobytes()
-        R, A, iterations, converged = message_passing(s, damping=damping)
+        rows = {"n-1": max(n - 1, 1), "n": n}.get(block_rows, block_rows)
+        with mock.patch.object(ap, "_BLOCK_BYTES", rows * 8 * n):
+            R, A, iterations, converged = message_passing(s, damping=damping)
         assert s.tobytes() == s_bytes
         R_oracle, A_oracle, oracle_iterations, oracle_converged = message_passing_oracle(
             s, damping=damping
