@@ -7,11 +7,23 @@ distance, values in [-200, 0]).  The diagonal carries the preference;
 higher preferences buy more clusters.  The per-mode range check and the
 median preference both read ``SimilarityMatrix.off_diagonal``, a view.
 
+Each mode is a generator that yields, for every word i, its similarities
+to the words after it.  One loop writes each such row into a float64
+n x n matrix and mirrors it below the diagonal, so a build holds the
+matrix plus one row's temporaries, whatever the mode.  The diagonal stays
+0 until the preference is written there.
+
+A coefficient row counts the grams word i shares with each later word as
+the number of times that word appears in the posting lists of i's grams;
+profiles are sets, so no gram is counted twice.  One ``bincount`` over
+those lists gives the counts, and ``dice_ratio`` turns them into the same
+float64 values as the word-level ``dice``.
+
 The median measure of two words is the median absolute difference of
 the first-occurrence positions of the characters they share, negated so
 that larger is always more similar.  It is the far sentinel -200 when
 the words share no character, or when that median exceeds the shorter
-word's length or 200; values lie in [-200, 0].  The median matrix is
+word's length or 200; values lie in [-200, 0].  The median rows are
 built with array code rather than one scalar call per pair.  A
 first-occurrence table holds, per word, the first position of every
 character of the lexicon's alphabet.  Row i gathers only the columns of
@@ -81,16 +93,20 @@ from typing import TYPE_CHECKING
 
 from .clusters import Cluster, select_stem
 from .errors import CapacityError, ConfigError, DegenerateClusteringError
-from .ngrams import COMBINED, FAR_DISTANCE, MEDIAN, dice_ratio, gram_index
+from .ngrams import COMBINED, dice_ratio, gram_index
 from .preprocess import Lexicon
 
 if TYPE_CHECKING:
+    from collections.abc import Iterator
+
     import numpy as np
 
 COEFFICIENT = "coefficient"
-# the closed range every off-diagonal similarity of a mode lies in
-_RANGES = {COEFFICIENT: (0.0, 1.0), MEDIAN: (-FAR_DISTANCE, 0.0)}
-MODES = tuple(_RANGES)
+# the name of the median-offset measure, as an AP mode and a stem-table order
+MEDIAN = "median"
+# distance assigned when two words share no character, or disagree by more
+# than the shorter word's length
+FAR_DISTANCE = 200.0
 
 MEDIAN_PREFERENCE = "median"
 
@@ -151,7 +167,7 @@ class SimilarityMatrix:
             raise ConfigError(f"similarity matrix must be {n}x{n}, got {self.s.shape}")
         if not np.array_equal(self.s, self.s.T):
             raise ConfigError("similarity matrix must be symmetric")
-        low, high = _RANGES[self.mode]
+        low, high = _MODES[self.mode][1]
         off_diagonal = self.off_diagonal()
         if not np.all((off_diagonal >= low) & (off_diagonal <= high)):
             raise ConfigError(f"off-diagonal similarities out of range for mode {self.mode!r}")
@@ -187,14 +203,14 @@ def build_similarity_matrix(
         )
     if n < 2:
         raise ConfigError("similarity matrix needs at least 2 words")
-    if mode == COEFFICIENT:
-        s = _coefficient_matrix(words)
-    elif mode == MEDIAN:
-        s = _median_matrix(words)
-    else:
+    if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     import numpy as np
 
+    s = np.zeros((n, n))
+    for i, row in enumerate(_MODES[mode][0](words)):
+        s[i, i + 1 :] = row
+        s[i + 1 :, i] = row
     matrix = SimilarityMatrix(words=words, s=s, mode=mode)
     preference = cfg.preference
     if preference == MEDIAN_PREFERENCE:
@@ -203,22 +219,20 @@ def build_similarity_matrix(
     return matrix
 
 
-def _coefficient_matrix(words) -> np.ndarray:
+def _coefficient_rows(words) -> Iterator[np.ndarray]:
     import numpy as np
 
-    # shared-gram counts via posting lists: a gram seen by m words adds 1 to
-    # each of the m*m pairs, so only co-occurring pairs cost anything
+    # profiles are sets, so word i shares with word j as many grams as j
+    # appears in the posting lists of i's grams; every word has a bigram,
+    # so there is always a list to join.  The last row is empty.
     index = gram_index(words, COMBINED)
-    sizes = index.sizes
-    n = len(sizes)
-    common = np.zeros((n, n), dtype=np.int32)
-    for posting in index.posting_lists():
-        if len(posting) > 1:
-            common[np.ix_(posting, posting)] += 1
-    return dice_ratio(common, sizes[:, None], sizes[None, :])
+    postings = index.posting_lists()
+    for i, grams in enumerate(np.split(index.grams, index.word_starts[1:-1])):
+        common = np.bincount(np.concatenate([postings[g] for g in grams]), minlength=len(words))
+        yield dice_ratio(common[i + 1 :], index.sizes[i], index.sizes[i + 1 :])
 
 
-def _median_matrix(words) -> np.ndarray:
+def _median_rows(words) -> Iterator[np.ndarray]:
     import numpy as np
 
     # first[j, c] is the first position of character c in word j, or
@@ -241,7 +255,6 @@ def _median_matrix(words) -> np.ndarray:
         first[i, cols] = list(firsts.values())
         columns.append(cols)
 
-    s = np.zeros((n, n), dtype=np.float64)
     for i in range(n - 1):
         # offsets to every later word over word i's own characters; after
         # the sort each row starts with its shared offsets, ascending
@@ -259,10 +272,16 @@ def _median_matrix(words) -> np.ndarray:
             | (distance > np.minimum(lengths[i], lengths[i + 1 :]))
             | (distance > FAR_DISTANCE)
         )
-        row = np.where(far, -FAR_DISTANCE, -distance)
-        s[i, i + 1 :] = row
-        s[i + 1 :, i] = row
-    return s
+        yield np.where(far, -FAR_DISTANCE, -distance)
+
+
+# per mode: the rows of its similarities to later words, and the closed
+# range every off-diagonal similarity lies in
+_MODES = {
+    COEFFICIENT: (_coefficient_rows, (0.0, 1.0)),
+    MEDIAN: (_median_rows, (-FAR_DISTANCE, 0.0)),
+}
+MODES = tuple(_MODES)
 
 
 def message_passing(
@@ -366,9 +385,8 @@ def run_ap(matrix: SimilarityMatrix, config: APConfig | None = None) -> APResult
     cfg = config or APConfig()
     n = len(matrix.words)
     s = matrix.s
-    scale = float(np.max(np.abs(s)))
-    if scale == 0.0:
-        scale = 1.0
+    # max|s| without an n x n temporary; 1 for an all-zero matrix
+    scale = max(float(s.max()), -float(s.min())) or 1.0
     points = np.arange(n)
     preferences = s.diagonal().copy()
     try:

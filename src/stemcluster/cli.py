@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 
-from .ap import COEFFICIENT, APConfig, build_similarity_matrix, run_ap
+from .ap import COEFFICIENT, MEDIAN, APConfig, build_similarity_matrix, run_ap
 from .errors import ConfigError, InputEncodingError, StemclusterError
 from .evaluation import format_table, load_gold, score_clusters, report_stats
 from .clusters import read_cluster_report, write_cluster_report
@@ -28,7 +28,7 @@ from .greedy import (
     stem_table_from_clusters,
     write_stem_table,
 )
-from .ngrams import COMBINED, GRAM_ORDERS, MEDIAN
+from .ngrams import COMBINED, GRAM_ORDERS
 from .preprocess import build_lexicon, clean_text, read_lexicon, read_text, tokenize, write_lexicon
 
 BACKENDS = ("greedy", "ap-coeff", "ap-median")
@@ -45,8 +45,18 @@ def _preference(value: str):
         ) from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line and exit status 2.
+
+    Sub-parsers are built with the parser's own class, so they inherit it.
+    """
+
+    def error(self, message):
+        self.exit(2, f"error: {_one_line(message)}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stemcluster",
         description="Cluster related Bangla word forms into stem groups.",
     )
@@ -233,7 +243,7 @@ def main(argv=None) -> int:
         return 1
 
 
-def _one_line(exc: Exception) -> str:
+def _one_line(exc: object) -> str:
     return " ".join(str(exc).split())
 
 

@@ -34,9 +34,10 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
+from .ap import MEDIAN
 from .clusters import Cluster, select_stem
 from .errors import ConfigError, FormatError, PartitionError
-from .ngrams import BIGRAM, GRAM_ORDERS, MEDIAN, dice_ratio, gram_index
+from .ngrams import BIGRAM, GRAM_ORDERS, dice_ratio, gram_index
 from .preprocess import Lexicon, clean_text, parse_word_pairs, read_text, tokenize
 
 _TABLE_MAGIC = "#stemcluster v1"

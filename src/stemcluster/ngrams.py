@@ -1,12 +1,9 @@
-"""Character n-gram sets, dice similarity, and the median-offset mode name.
+"""Character n-gram sets and dice similarity.
 
 ``gram_set`` defines a word's distinct grams for a gram order (bigrams,
 trigrams, or both pooled), and ``dice_ratio`` is the one 2C/(A+B)
 expression: the word-level ``dice``, the greedy join test and the
 affinity-propagation coefficient matrix all call it.
-The median-offset measure, the alternative fed to the median-similarity
-clustering mode, is defined and built in ``ap``; this module holds its
-name ``MEDIAN`` and its far sentinel ``FAR_DISTANCE``.
 
 ``gram_index`` is the array form of a whole lexicon's gram sets that both
 clustering backends read: integer gram ids, set sizes and posting lists,
@@ -30,13 +27,7 @@ BIGRAM = "2"
 TRIGRAM = "3"
 COMBINED = "2+3"
 GRAM_ORDERS = (BIGRAM, TRIGRAM, COMBINED)
-# the name of the median-offset measure, as an AP mode and a stem-table order
-MEDIAN = "median"
 _GRAM_SIZES = {BIGRAM: (2,), TRIGRAM: (3,), COMBINED: (2, 3)}
-
-# distance assigned when two words share no character, or disagree by more
-# than the shorter word's length
-FAR_DISTANCE = 200.0
 
 
 def gram_set(word: str, order: str = BIGRAM) -> set[str]:

@@ -20,7 +20,7 @@ from statistics import median
 import numpy as np
 
 from stemcluster import build_lexicon
-from stemcluster.ngrams import FAR_DISTANCE
+from stemcluster.ap import FAR_DISTANCE
 from stemcluster.preprocess import Lexicon, lexicon_sort_key
 
 BANGLA_LETTERS = (

@@ -201,6 +201,51 @@ class TestBuildSimilarityMatrix:
         )
         assert matrix.s.tobytes() == expected.tobytes()
 
+    @settings(max_examples=60)
+    @given(
+        st.integers(3, 6).flatmap(
+            lambda size: st.lists(
+                st.text(st.sampled_from("কখগঘঙচ"[:size]), min_size=2, max_size=10),
+                min_size=2, max_size=24, unique=True,
+            )
+        )
+    )
+    # every word shares the prefix, so every posting list of its grams is full
+    @example(["কখগ" + tail for tail in ["", "ঘ", "ঙ", "কখ", "ঘঙচ", "চচ", "খগঘ"]])
+    def test_coefficient_matrix_is_scalar_dice_bit_for_bit(self, words):
+        # few letters, so posting lists are long and words share many grams
+        lex = build_lexicon(words)
+        matrix = build_similarity_matrix(lex, COEFFICIENT)
+        expected = np.array(
+            [
+                [
+                    matrix.s[i, i] if i == j else dice(a, b, COMBINED)
+                    for j, b in enumerate(lex.words)
+                ]
+                for i, a in enumerate(lex.words)
+            ]
+        )
+        assert matrix.s.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("mode", [COEFFICIENT, MEDIAN])
+    def test_build_peak_is_the_matrix_and_one_row(self, mode):
+        # rows are written as they come, so a build holds the matrix plus
+        # row temporaries; the median preference adds np.median's copy
+        n = 1000
+        lex = synthetic_lexicon(n, seed=3)
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for preference in (0.0, APConfig.preference):
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                build_similarity_matrix(lex, mode, APConfig(preference=preference))
+                peaks[preference] = (tracemalloc.get_traced_memory()[1] - start) / (n * n * 8)
+        finally:
+            tracemalloc.stop()
+        assert peaks[0.0] <= 1.3
+        assert peaks[APConfig.preference] <= 2.1
+
     def test_symmetry_exhaustive(self):
         rng = random.Random(7)
         lex = build_lexicon([random_word(rng, 2, 9) for _ in range(120)])

@@ -303,6 +303,38 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+class TestUsageErrors:
+    """argparse's own refusals follow the one-``error:``-line contract too."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["train"], id="missing-lexicon"),
+            pytest.param(["train", "lexicon.txt", "--backend", "nope"], id="bad-backend"),
+            pytest.param(["train", "lexicon.txt", "--threshold", "abc"], id="bad-threshold"),
+            pytest.param(["stem", "stems.tsv", "--bogus"], id="unknown-flag"),
+            pytest.param([], id="no-subcommand"),
+        ],
+    )
+    def test_usage_error_is_one_error_line(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+        assert "usage:" not in err
+
+    def test_module_usage_error_is_one_error_line(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "stemcluster", "train"],
+            capture_output=True, text=True, env=src_env(),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: the following arguments are required: LEXICON\n"
+
+
 class TestStem:
     def test_args_mode(self, trained, capsys):
         code = run_cli("stem", str(trained["table"]), "কাজের", "কখগঘ")
