@@ -6,6 +6,8 @@ values in [0, 1]) or ``median`` (negated median character-offset
 distance, values in [-200, 0]).  The diagonal carries the preference;
 higher preferences buy more clusters.  The per-mode range check and the
 median preference both read ``SimilarityMatrix.off_diagonal``, a view.
+The symmetry and range checks read rows in blocks of ``_BLOCK_BYTES``,
+so they add no n x n temporary.
 
 Each mode is a generator that yields, for every word i, its similarities
 to the words after it.  One loop writes each such row into a float64
@@ -165,12 +167,18 @@ class SimilarityMatrix:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.s.shape != (n, n):
             raise ConfigError(f"similarity matrix must be {n}x{n}, got {self.s.shape}")
-        if not np.array_equal(self.s, self.s.T):
-            raise ConfigError("similarity matrix must be symmetric")
+        # both checks read blocks of rows, so neither holds an n x n temporary
+        rows = max(1, _BLOCK_BYTES // (8 * max(n, 1)))
+        for start in range(0, n, rows):
+            if not np.array_equal(self.s[start : start + rows], self.s[:, start : start + rows].T):
+                raise ConfigError("similarity matrix must be symmetric")
         low, high = _MODES[self.mode][1]
         off_diagonal = self.off_diagonal()
-        if not np.all((off_diagonal >= low) & (off_diagonal <= high)):
-            raise ConfigError(f"off-diagonal similarities out of range for mode {self.mode!r}")
+        for start in range(0, n - 1, rows):
+            block = off_diagonal[start : start + rows]
+            # a nan fails both comparisons
+            if not (block.min() >= low and block.max() <= high):
+                raise ConfigError(f"off-diagonal similarities out of range for mode {self.mode!r}")
 
     def off_diagonal(self) -> np.ndarray:
         """The off-diagonal entries, row by row, as an [n-1, n] view on ``s``."""

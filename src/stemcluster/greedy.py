@@ -4,21 +4,38 @@ The clustering walks the lexicon in its canonical order (shortest words
 first): the first unassigned word seeds a cluster and every remaining
 unassigned word whose dice similarity *with the seed* reaches the
 threshold joins it; assigned words leave the pool and the walk repeats
-until the pool is empty.  Because seeds are the shortest available words,
-the seed and the selected stem usually coincide.
+until the pool is empty.  The lexicon is sorted in the stem order, so a
+seed is always the smallest member of its cluster and is its stem.
 
 Seeds are scored from the lexicon's gram index (``ngrams.gram_index``)
 rather than by comparing word pairs.  A word can only clear a positive
 threshold if it shares at least one gram with the seed, and an assigned
-word can never join again, so each seed reads only the *live* part of
-its grams' posting lists: the words not yet assigned.  Reading a posting
-list drops the words assigned since it was last read and keeps the
-shorter list, so no later seed scans them again.  Profiles are sets, so
+word can never join again, so a seed reads only the *live* part of its
+grams' posting lists: the words not yet assigned.  Profiles are sets, so
 the number of times a word occurs across the seed's live postings is
-exactly |seed ∩ word|, the C of 2C/(A+B).  The join test is
+exactly |seed ∩ word|, the C of 2C/(A+B).
+
+Seeds are scored a block at a time.  A block is the next unassigned
+words in lexicon order, taken until their live posting entries reach
+``_BLOCK_ENTRIES`` (at least one seed per block), so its temporaries are
+bounded by posting volume, not by the number of seeds.  Each gram a block
+reads is compacted to its live part once, keeping the shorter list so no
+later block scans the assigned words again.  The block's postings are
+concatenated with the owning seed beside each entry, and one
+``np.unique`` over the keys ``seed * n + other`` counts every pair.
+
+Batching is exact because seeds run in lexicon order: every word before
+seed i is assigned by the time i seeds, so whether a later word reaches
+the threshold against i does not depend on what the other seeds of the
+block take.  Each seed therefore counts only the words after it.  It
+also skips words outside the dice size window: as C <= min(A, B) and
+2C/(A+B) grows with C, a pair with ``dice_ratio(min(A, B), A, B)`` below
+the threshold can never qualify.  A Python walk then visits the block
+in order: a word assigned meanwhile is skipped, and a seed takes itself
+and its unassigned qualifiers in ascending order.  The join test is
 ``ngrams.dice_ratio``, the expression the word-level ``dice`` uses, over
-the same word pairs, and joiners are taken in ascending lexicon order, so
-the clusters are identical to the quadratic scan's.
+the same word pairs, so the clusters are identical to the quadratic
+scan's at every budget; a budget of 1 scores the seeds one at a time.
 
 ``stem_table_from_clusters`` is the one stem-table constructor, for every
 backend; ``stem_word`` and the ``stem`` command look words up through
@@ -35,7 +52,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .ap import MEDIAN
-from .clusters import Cluster, select_stem
+from .clusters import Cluster
 from .errors import ConfigError, FormatError, PartitionError
 from .ngrams import BIGRAM, GRAM_ORDERS, dice_ratio, gram_index
 from .preprocess import Lexicon, clean_text, parse_word_pairs, read_text, tokenize
@@ -46,6 +63,10 @@ _TABLE_HEADER = re.compile(re.escape(_TABLE_MAGIC) + r" order=(\S+) threshold=(\
 # the similarity a table was trained with: a greedy gram order, or the
 # ap-median backend's median offsets
 _TABLE_ORDERS = (*GRAM_ORDERS, MEDIAN)
+# live posting entries one block of seeds reads before it is scored; a block
+# holds at least one seed, so its temporaries grow with posting volume, not
+# with the number of seeds
+_BLOCK_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
@@ -99,32 +120,62 @@ def cluster_greedy(lexicon: Lexicon, config: GreedyConfig | None = None) -> list
 
     cfg = config or GreedyConfig()
     words = lexicon.words
+    n = len(words)
     index = gram_index(words, cfg.gram_order)
     sizes, grams = index.sizes, index.grams
     starts = index.word_starts.tolist()
-    # one view per gram, replaced by its live part whenever a seed reads it
+    # one view per gram, replaced by its live part when a block reads it
     live = index.posting_lists()
 
     # one buffer: byte reads for the walk, a bool array for the masks
-    taken = bytearray(len(words))
-    assigned = np.frombuffer(taken, dtype=bool)
+    free = bytearray(b"\x01") * n
+    untaken = np.frombuffer(free, dtype=bool)
     clusters: list[Cluster] = []
-    for seed in range(len(words)):
-        if taken[seed]:
-            continue
-        taken[seed] = 1
-        members = [words[seed]]
-        hits = []
-        for gram in grams[starts[seed] : starts[seed + 1]].tolist():
-            posting = live[gram]
-            posting = live[gram] = posting[~assigned[posting]]
-            hits.append(posting)
-        if hits:
-            others, common = np.unique(np.concatenate(hits), return_counts=True)
-            joined = others[dice_ratio(common, sizes[seed], sizes[others]) >= cfg.threshold]
-            assigned[joined] = True
-            members.extend(words[other] for other in joined.tolist())
-        clusters.append(Cluster(stem=select_stem(members), members=tuple(members)))
+    word = 0
+    while word < n:
+        # the next untaken words, until their live postings fill the budget
+        seeds: list[int] = []
+        counts: list[int] = []
+        hits: list[np.ndarray] = []
+        compacted: set[int] = set()
+        volume = 0
+        while word < n and volume < _BLOCK_ENTRIES:
+            if free[word]:
+                before = volume
+                for gram in grams[starts[word] : starts[word + 1]].tolist():
+                    posting = live[gram]
+                    if gram not in compacted:
+                        compacted.add(gram)
+                        posting = live[gram] = posting[untaken[posting]]
+                    hits.append(posting)
+                    volume += len(posting)
+                seeds.append(word)
+                counts.append(volume - before)
+            word += 1
+        # a seed counts only later words inside its size window
+        block = np.array(seeds, dtype=np.int64)
+        owners = np.repeat(block, counts)
+        # a block of gramless words reads nothing, and owners is empty too
+        others = np.concatenate(hits) if hits else owners
+        size_a, size_b = np.repeat(sizes[block], counts), sizes[others]
+        window = dice_ratio(np.minimum(size_a, size_b), size_a, size_b) >= cfg.threshold
+        keep = (others > owners) & window
+        keys, common = np.unique(owners[keep] * n + others[keep], return_counts=True)
+        pairs = keys[dice_ratio(common, sizes[keys // n], sizes[keys % n]) >= cfg.threshold]
+        # the pairs come grouped by seed, each group in ascending word order
+        bounds = np.searchsorted(pairs, block * n).tolist() + [len(pairs)]
+        qualifiers = (pairs % n).tolist()
+        for seed, low, high in zip(seeds, bounds, bounds[1:]):
+            if not free[seed]:
+                continue
+            free[seed] = 0
+            members = [words[seed]]
+            for other in qualifiers[low:high]:
+                if free[other]:
+                    free[other] = 0
+                    members.append(words[other])
+            # words ascend in stem order, so the seed is its cluster's stem
+            clusters.append(Cluster(stem=words[seed], members=tuple(members)))
     return clusters
 
 

@@ -1,5 +1,9 @@
 import random
+import sys
+import tracemalloc
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -13,11 +17,21 @@ from stemcluster import (
     stem_word,
     write_stem_table,
 )
+from stemcluster import greedy
 from stemcluster.clusters import Cluster, read_cluster_report, select_stem, write_cluster_report
 from stemcluster.errors import ConfigError, FormatError, PartitionError
+from stemcluster.ngrams import dice_ratio, gram_index
 from stemcluster.preprocess import clean_text, read_text, tokenize
 
-from helpers import BANGLA_LETTERS, greedy_oracle, random_word
+from helpers import BANGLA_LETTERS, greedy_oracle, random_word, synthetic_lexicon
+
+# live posting entries per block of seeds: one seed per block, a few seeds,
+# the default, and the whole lexicon in one block
+block_budgets = pytest.mark.parametrize(
+    "budget",
+    [1, 7, greedy._BLOCK_ENTRIES, sys.maxsize],
+    ids=["1", "7", "default", "unbounded"],
+)
 
 small_word_lists = st.lists(
     st.text(alphabet=st.sampled_from(BANGLA_LETTERS), min_size=2, max_size=8),
@@ -121,35 +135,42 @@ class TestClusterGreedy:
         lex = build_lexicon([random_word(random.Random(3), 2, 8) for _ in range(60)])
         assert cluster_greedy(lex) == cluster_greedy(lex)
 
+    @block_budgets
     @settings(max_examples=150)
     @given(small_word_lists, st.sampled_from(["2", "3", "2+3"]), st.floats(0.01, 0.95))
-    def test_matches_step_simulation_oracle(self, tokens, order, threshold):
+    def test_matches_step_simulation_oracle(self, budget, tokens, order, threshold):
         lex = build_lexicon(tokens)
         config = GreedyConfig(gram_order=order, threshold=threshold)
-        got = [(c.stem, c.members) for c in cluster_greedy(lex, config)]
+        with mock.patch.object(greedy, "_BLOCK_ENTRIES", budget):
+            got = [(c.stem, c.members) for c in cluster_greedy(lex, config)]
         assert got == greedy_oracle(lex.words, order, threshold)
 
     # order 3 leaves two-letter words without grams: empty seeds, empty hits
+    @block_budgets
     @pytest.mark.parametrize("order", ["2", "3", "2+3"])
     @pytest.mark.parametrize("threshold", [0.06, 0.3, 0.6, 0.9])
-    def test_matches_naive_scan_on_midsize_lexicon(self, order, threshold):
+    def test_matches_naive_scan_on_midsize_lexicon(self, order, threshold, budget):
         rng = random.Random(17)
         lex = build_lexicon([random_word(rng, 2, 9) for _ in range(250)])
         config = GreedyConfig(gram_order=order, threshold=threshold)
-        assert cluster_greedy(lex, config) == naive_cluster(lex, config)
+        with mock.patch.object(greedy, "_BLOCK_ENTRIES", budget):
+            got = cluster_greedy(lex, config)
+        assert got == naive_cluster(lex, config)
 
     # a few letters make most words share grams, so seeds meet posting lists
     # already thinned by earlier clusters
+    @block_budgets
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
         overlapping_word_lists(),
         st.sampled_from(["2", "3", "2+3"]),
         st.floats(0.4, 0.95),
     )
-    def test_matches_oracle_on_overlapping_lexicons(self, tokens, order, threshold):
+    def test_matches_oracle_on_overlapping_lexicons(self, budget, tokens, order, threshold):
         lex = build_lexicon(tokens)
         config = GreedyConfig(gram_order=order, threshold=threshold)
-        got = [(c.stem, c.members) for c in cluster_greedy(lex, config)]
+        with mock.patch.object(greedy, "_BLOCK_ENTRIES", budget):
+            got = [(c.stem, c.members) for c in cluster_greedy(lex, config)]
         assert got == greedy_oracle(lex.words, order, threshold)
 
     def test_threshold_sweep_on_demo_is_monotone(self, demo_corpus):
@@ -164,6 +185,55 @@ class TestClusterGreedy:
         lex = build_lexicon(tokenize(clean_text(read_text(demo_corpus))))
         clusters = cluster_greedy(lex, GreedyConfig(threshold=0.999999))
         assert len(clusters) == lex.unique_tokens
+
+    @pytest.mark.parametrize("budget", [1, greedy._BLOCK_ENTRIES], ids=["1", "default"])
+    def test_counts_only_later_words_inside_the_size_window(self, budget):
+        # the clusters cannot show this pruning: the walk skips taken words,
+        # and a pair outside the window never qualifies; so read the
+        # (seed, other) keys that each block hands to np.unique for counting
+        rng = random.Random(5)
+        lex = build_lexicon([random_word(rng, 2, 12) for _ in range(300)])
+        n, threshold = len(lex.words), 0.6
+        counted = []
+        unique = np.unique
+
+        def recording_unique(values, **kwargs):
+            if kwargs.get("return_counts"):
+                counted.append(values.copy())
+            return unique(values, **kwargs)
+
+        with mock.patch.object(greedy, "_BLOCK_ENTRIES", budget):
+            with mock.patch.object(np, "unique", recording_unique):
+                cluster_greedy(lex, GreedyConfig(threshold=threshold))
+        keys = np.concatenate(counted)
+        seeds, others = keys // n, keys % n
+        sizes = gram_index(lex.words).sizes
+        a, b = sizes[seeds], sizes[others]
+        assert len(keys) > 0
+        assert np.all(others > seeds)
+        assert np.all(dice_ratio(np.minimum(a, b), a, b) >= threshold)
+
+    def test_block_memory_is_bounded_by_the_budget(self):
+        # a block holds a few arrays of its posting entries; reading every
+        # seed's postings in one block would hold them all at once
+        lex = synthetic_lexicon(2000, seed=3)
+        config = GreedyConfig(threshold=0.6)
+        cluster_greedy(synthetic_lexicon(50, seed=3), config)  # numpy's lazy imports
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        index_peak = peak(lambda: gram_index(lex.words))
+        bound = 32 * greedy._BLOCK_ENTRIES * 8
+        assert peak(lambda: cluster_greedy(lex, config)) - index_peak <= bound
+        # the lexicon is large enough for the budget to matter
+        with mock.patch.object(greedy, "_BLOCK_ENTRIES", sys.maxsize):
+            assert peak(lambda: cluster_greedy(lex, config)) - index_peak > 4 * bound
 
 
 class TestSelectStem:
