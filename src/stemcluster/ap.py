@@ -28,7 +28,8 @@ the words share no character, or when that median exceeds the shorter
 word's length or 200; values lie in [-200, 0].  The median rows are
 built with array code rather than one scalar call per pair.  A
 first-occurrence table holds, per word, the first position of every
-character of the lexicon's alphabet.  Row i gathers only the columns of
+character of the lexicon's alphabet; it is filled from the same
+code-point array that ``ngrams.gram_index`` reads, with no loop per word.  Row i gathers only the columns of
 its own distinct characters against the later words, takes absolute
 position offsets, sorts them along that short axis and reads the median
 of the shared ones; the far-distance rules then apply exactly as in the
@@ -95,7 +96,7 @@ from typing import TYPE_CHECKING
 
 from .clusters import Cluster, select_stem
 from .errors import CapacityError, ConfigError, DegenerateClusteringError
-from .ngrams import COMBINED, dice_ratio, gram_index
+from .ngrams import COMBINED, code_points, dice_ratio, gram_index
 from .preprocess import Lexicon
 
 if TYPE_CHECKING:
@@ -245,28 +246,30 @@ def _median_rows(words) -> Iterator[np.ndarray]:
 
     # first[j, c] is the first position of character c in word j, or
     # ``absent`` when word j lacks it; ``absent`` is so large that every
-    # offset against it exceeds any real one and sorts behind it
+    # offset against it exceeds any real one and sorts behind it.  The
+    # columns number the lexicon's distinct code points.
     n = len(words)
-    alphabet = {ch: c for c, ch in enumerate(dict.fromkeys("".join(words)))}
-    lengths = np.array([len(word) for word in words], dtype=np.int64)
+    codes, bounds = code_points(words)
+    lengths = np.diff(bounds)
     longest = int(lengths.max())
     absent = 2 * longest
+    alphabet, column = np.unique(codes, return_inverse=True)
+    owner = np.repeat(np.arange(n), lengths)
+    position = np.arange(codes.size) - np.repeat(bounds[:-1], lengths)
     first = np.full(
-        (n, len(alphabet)), absent, dtype=np.int32 if absent < 2**31 else np.int64
+        (n, alphabet.size), absent, dtype=np.int32 if absent < 2**31 else np.int64
     )
-    columns: list[np.ndarray] = []
-    for i, word in enumerate(words):
-        firsts: dict[str, int] = {}
-        for position, ch in enumerate(word):
-            firsts.setdefault(ch, position)
-        cols = np.array([alphabet[ch] for ch in firsts], dtype=np.intp)
-        first[i, cols] = list(firsts.values())
-        columns.append(cols)
+    np.minimum.at(first, (owner, column), position)
+    # each word's distinct characters, in the order they first occur
+    firsts = first[owner, column] == position
+    columns = column[firsts]
+    column_starts = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(owner[firsts], minlength=n), out=column_starts[1:])
 
     for i in range(n - 1):
         # offsets to every later word over word i's own characters; after
         # the sort each row starts with its shared offsets, ascending
-        cols = columns[i]
+        cols = columns[column_starts[i] : column_starts[i + 1]]
         offsets = np.abs(first[i + 1 :, cols] - first[i, cols])
         offsets.sort(axis=1)
         shared = np.count_nonzero(offsets < longest, axis=1)

@@ -29,7 +29,7 @@ from .greedy import (
     write_stem_table,
 )
 from .ngrams import COMBINED, GRAM_ORDERS
-from .preprocess import build_lexicon, clean_text, read_lexicon, read_text, tokenize, write_lexicon
+from .preprocess import build_lexicon, read_lexicon, read_text, tokenize, write_lexicon
 
 BACKENDS = ("greedy", "ap-coeff", "ap-median")
 
@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_preprocess(args) -> int:
     tokens: list[str] = []
     for path in args.inputs:
-        tokens.extend(tokenize(clean_text(read_text(path))))
+        tokens.extend(tokenize(read_text(path)))
     lexicon = build_lexicon(tokens)
     if lexicon.unique_tokens == 0:
         print("warning: no tokens survived preprocessing", file=sys.stderr)

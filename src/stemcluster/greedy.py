@@ -55,7 +55,7 @@ from .ap import MEDIAN
 from .clusters import Cluster
 from .errors import ConfigError, FormatError, PartitionError
 from .ngrams import BIGRAM, GRAM_ORDERS, dice_ratio, gram_index
-from .preprocess import Lexicon, clean_text, parse_word_pairs, read_text, tokenize
+from .preprocess import Lexicon, parse_word_pairs, read_text, refuse_carriage_returns, tokenize
 
 _TABLE_MAGIC = "#stemcluster v1"
 # the one header form write_stem_table writes
@@ -105,7 +105,7 @@ class StemTable:
         """
         stem = self.entries.get(word)
         if stem is None:
-            tokens = tokenize(clean_text(word))
+            tokens = tokenize(word)
             if len(tokens) == 1:
                 stem = self.entries.get(tokens[0])
         return stem
@@ -207,6 +207,7 @@ def write_stem_table(table: StemTable, path) -> None:
 
 def read_stem_table(path) -> StemTable:
     text = read_text(path)
+    refuse_carriage_returns(text, path)
     header = _TABLE_HEADER.fullmatch(text.partition("\n")[0])
     if header is None:
         raise FormatError(

@@ -7,6 +7,14 @@ Zero-width (non-)joiners are dropped outright, since turning them into
 separators would break conjunct spellings apart.  Bengali digits
 (U+09E6-U+09EF) live inside the block but are stripped because they are
 digits, not word material.
+
+``tokenize`` turns raw text into those tokens in one pass: once the
+joiners are gone, it finds the maximal runs of kept code points, which
+are exactly the whitespace-split words of ``clean_text``.  ``preprocess``
+and the stem-table lookup both call it.
+
+The ``word<TAB>value`` reader refuses a file holding a carriage return:
+split on LF alone, a CRLF file would leave a CR on every value.
 """
 
 from __future__ import annotations
@@ -18,7 +26,10 @@ from pathlib import Path
 from .errors import FormatError, InputEncodingError
 
 _JOINERS = re.compile("[‌‍]")
-_DROP_RUNS = re.compile("[^ঀ-৥ৰ-৿]+")          # digits stripped
+# the Bengali block but its digits
+_KEPT = "ঀ-৥ৰ-৿"
+_DROP_RUNS = re.compile(f"[^{_KEPT}]+")
+_TOKENS = re.compile(f"[{_KEPT}]+")
 _STATS_LINE = re.compile(r"#stats total=(\d+) unique=(\d+)\s*$")
 
 
@@ -70,8 +81,12 @@ def clean_text(text: str) -> str:
 
 
 def tokenize(text: str) -> list[str]:
-    """Split cleaned text on whitespace runs, keeping order, no empties."""
-    return text.split()
+    """The tokens of ``clean_text(text)``, in order, in one pass over the text.
+
+    The kept class holds no whitespace, so its maximal runs, found once the
+    joiners are gone, are exactly the whitespace-split cleaned text.
+    """
+    return _TOKENS.findall(_JOINERS.sub("", text))
 
 
 def build_lexicon(tokens) -> Lexicon:
@@ -97,12 +112,29 @@ def read_text(path) -> str:
         raise InputEncodingError(f"{path}: not valid UTF-8 ({exc})") from None
 
 
+def refuse_carriage_returns(text: str, path) -> None:
+    """Raise ``FormatError`` at the first line of ``text`` that holds a CR.
+
+    The readers split on LF alone, so a CRLF file would leave a CR on
+    every value it reads.
+    """
+    cr = text.find("\r")
+    if cr >= 0:
+        raise FormatError(
+            "carriage return found: CRLF line endings are not supported, convert the file to LF",
+            path=path,
+            line=text.count("\n", 0, cr) + 1,
+        )
+
+
 def parse_word_pairs(text: str, value: str, path) -> dict[str, str]:
     """Rows of ``word<TAB>value`` from a file's text; blank and '#' lines are skipped.
 
     ``value`` names the second column in messages.  A word given two
-    different values is rejected at the second row.
+    different values is rejected at the second row, and a line holding
+    a carriage return before any row is read.
     """
+    refuse_carriage_returns(text, path)
     pairs: dict[str, str] = {}
     for lineno, line in enumerate(text.split("\n"), start=1):
         if not line or line.startswith("#"):

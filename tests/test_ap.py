@@ -205,6 +205,8 @@ class TestBuildSimilarityMatrix:
     @example(["ab", "zzzza"])  # median 4 exceeds the shorter length 2
     @example(["abab", "cdcd"])  # no shared character
     @example(["a" + "b" * 300, "c" * 250 + "a" + "b" * 60])  # median 250 > 200
+    # astral characters are one code point each, as in the scalar definition
+    @example(["\U00020000a\U0001f600", "a\U00020000", "\U0001f600\U0001f600b", "ba\U00020001"])
     def test_median_matrix_is_scalar_distance_bit_for_bit(self, words):
         lex = build_lexicon(words)
         matrix = build_similarity_matrix(lex, MEDIAN)

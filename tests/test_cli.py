@@ -336,6 +336,16 @@ class TestUsageErrors:
 
 
 class TestStem:
+    def test_crlf_table_is_one_error_line(self, tmp_path, capsys):
+        table = tmp_path / "stems.tsv"
+        table.write_bytes("#stemcluster v1 order=2 threshold=0.06\r\nকাজের\tকাজ\r\n".encode("utf-8"))
+        assert run_cli("stem", str(table), "কাজের") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {table}:1: ")
+        assert "CRLF line endings" in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_args_mode(self, trained, capsys):
         code = run_cli("stem", str(trained["table"]), "কাজের", "কখগঘ")
         assert code == 0
@@ -500,6 +510,22 @@ class TestStem:
 
 
 class TestEvaluate:
+    def test_crlf_gold_is_one_error_line_not_a_zero_score(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        report.write_text('[{"stem": "কাজ", "members": ["কাজ", "কাজের"]}]', encoding="utf-8")
+        gold = tmp_path / "gold.tsv"
+        gold.write_bytes("কাজ\tকাজ\r\nকাজের\tকাজ\r\n".encode("utf-8"))
+        assert run_cli("evaluate", str(report), str(gold), "--strict") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {gold}:1: ")
+        assert "CRLF line endings" in captured.err
+        assert captured.err.count("\n") == 1
+        # the same rows with LF endings score the cluster correct
+        gold.write_bytes("কাজ\tকাজ\nকাজের\tকাজ\n".encode("utf-8"))
+        assert run_cli("evaluate", str(report), str(gold), "--strict") == 0
+        assert json.loads(capsys.readouterr().out)["accuracy"] == 1.0
+
     def test_json_matches_committed_report(self, trained, demo_gold, demo_expected_dir, capsys):
         assert run_cli("evaluate", str(trained["report"]), str(demo_gold)) == 0
         got = json.loads(capsys.readouterr().out)

@@ -38,6 +38,14 @@ class TestLoadGold:
         path.write_text("", encoding="utf-8")
         assert load_gold(path) == {}
 
+    def test_crlf_file_rejected_at_its_first_carriage_return(self, tmp_path):
+        # split on LF alone, every label would keep its CR and match no stem
+        path = tmp_path / "gold.tsv"
+        path.write_bytes("abc\tS1\nabd\tS1\r\nabe\tS1\r\n".encode("utf-8"))
+        with pytest.raises(FormatError, match="CRLF line endings") as err:
+            load_gold(path)
+        assert err.value.line == 2
+
     def test_malformed_row_rejected(self, tmp_path):
         path = tmp_path / "gold.tsv"
         path.write_text("abc S1\n", encoding="utf-8")

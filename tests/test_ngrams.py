@@ -1,4 +1,5 @@
-from itertools import combinations
+import tracemalloc
+from itertools import accumulate, combinations
 
 import numpy as np
 import pytest
@@ -15,10 +16,44 @@ from stemcluster.ngrams import (
     gram_set,
 )
 
-from helpers import BANGLA_LETTERS, dice_oracle, distinct_gram_list, median_offset_distance
+from helpers import (
+    BANGLA_LETTERS,
+    dice_oracle,
+    distinct_gram_list,
+    median_offset_distance,
+    synthetic_lexicon,
+)
 
 words = st.text(alphabet=st.sampled_from(BANGLA_LETTERS), min_size=2, max_size=14)
 orders = st.sampled_from([BIGRAM, TRIGRAM, COMBINED])
+# any code point a str can hold: NUL, astral characters and lone surrogates too
+hostile_words = st.lists(
+    st.one_of(
+        st.sampled_from(["\x00", "a", "ক", "\ud800", "\udfff", "\U00020000", "\U0010ffff"]),
+        st.characters(min_codepoint=0, max_codepoint=0x10FFFF),
+    ),
+    max_size=7,
+).map("".join)
+
+
+def assert_index_matches_oracle(word_list, order):
+    """``gram_index`` holds the linear-scan gram lists, whatever ids it gives the grams."""
+    index = gram_index(word_list, order)
+    grams = [distinct_gram_list(word, order) for word in word_list]
+    holders: dict[str, list[int]] = {}
+    for i, word_grams in enumerate(grams):
+        for gram in word_grams:
+            holders.setdefault(gram, []).append(i)
+    # a gram is known by its posting list
+    bounds = index.gram_starts.tolist()
+    postings = [tuple(index.postings[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
+    assert sorted(postings) == sorted(tuple(words) for words in holders.values())
+    assert index.sizes.tolist() == [len(word_grams) for word_grams in grams]
+    rows = index.word_starts.tolist()
+    assert rows == [0, *accumulate(len(word_grams) for word_grams in grams)]
+    for i, word_grams in enumerate(grams):
+        row = index.grams[rows[i] : rows[i + 1]].tolist()
+        assert sorted(postings[g] for g in row) == sorted(tuple(holders[g]) for g in word_grams)
 
 
 class TestExtractNgrams:
@@ -128,6 +163,64 @@ class TestGramIndex:
     def test_bad_order_rejected(self):
         with pytest.raises(ConfigError):
             gram_index(["ab"], "4")
+
+    @pytest.mark.parametrize("order", [BIGRAM, TRIGRAM, COMBINED])
+    @pytest.mark.parametrize(
+        "word_list",
+        [
+            [],
+            ["", "a", "ab", "abc", "a"],
+            ["\x00\x00", "\U00020000\x00\U00020000\x00", "\ud800\udfff\ud800", "\udfff\ud800",
+             "a\U0010ffff\U0010ffffa"],
+            ["".join(chr(0x100 + 3 * i + j) for j in range(6)) for i in range(100)],
+        ],
+        ids=["no words", "shorter than the grams", "astral NUL surrogates", "300 code points"],
+    )
+    def test_hostile_input_matches_oracle(self, word_list, order):
+        assert_index_matches_oracle(word_list, order)
+
+    @given(st.lists(hostile_words, max_size=12), orders)
+    def test_any_code_points_match_oracle(self, word_list, order):
+        assert_index_matches_oracle(word_list, order)
+
+    def test_no_words_give_empty_arrays(self):
+        index = gram_index([], COMBINED)
+        assert index.word_starts.tolist() == [0]
+        assert index.gram_starts.tolist() == [0]
+        assert index.sizes.size == index.grams.size == index.postings.size == 0
+
+    def test_keys_do_not_overflow_for_a_large_alphabet(self):
+        # three-letter words over 81 000 code points from U+20000; a key of
+        # the form gram * n + word would overflow int64 here
+        alphabet, n = 81_000, 27_000
+        assert (alphabet**3 + alphabet**2) * n > 2**63
+        word_list = ["".join(chr(0x20000 + 3 * i + j) for j in range(3)) for i in range(n)]
+        for order in (BIGRAM, TRIGRAM, COMBINED):
+            assert_index_matches_oracle(word_list, order)
+
+    @pytest.mark.parametrize("order", [BIGRAM, TRIGRAM, COMBINED])
+    def test_build_peak_is_a_few_arrays_of_its_entries(self, order):
+        word_list = synthetic_lexicon(2000, seed=3).words
+        gram_index(word_list[:50], order)  # numpy's lazy imports
+        entries = sum(
+            len(word) - size + 1
+            for size in {BIGRAM: (2,), TRIGRAM: (3,), COMBINED: (2, 3)}[order]
+            for word in word_list
+            if len(word) >= size
+        )
+        tracemalloc.start()
+        try:
+            gram_index(word_list, order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 8 * entries * 8
+        assert peak <= bound
+        if order != COMBINED:
+            # an int64 table over the alphabet's trigrams, or one alphabet row
+            # per word, would not fit under the bound on its own
+            alphabet = len(set("".join(word_list)))
+            assert min(alphabet**3, len(word_list) * alphabet) * 8 > bound
 
 
 class TestMedianOffsetDistance:

@@ -24,6 +24,19 @@ padded_tokens = st.builds(
     st.text(alphabet="কখগাি্অaZ\u0301", max_size=4),
     st.text(alphabet=" \t\n\u00a0\u3000", max_size=2),
 )
+# raw text: the whole Bengali block (digits too), the joiners, and what
+# cleaning drops: Latin, ASCII digits, whitespace of every kind, a byte-order
+# mark, astral characters and lone surrogates
+raw_texts = st.lists(
+    st.one_of(
+        st.characters(min_codepoint=0x0980, max_codepoint=0x09FF),
+        st.sampled_from([
+            "\u200c", "\u200d", "a", "Z", "7", " ", "\t", "\n", "\r", "\u00a0", "\u2028",
+            "\ufeff", "\U0001f600", "\U00020000", "\ud800", "\udfff",
+        ]),
+    ),
+    max_size=40,
+).map("".join)
 
 
 class TestCleanText:
@@ -68,6 +81,14 @@ class TestTokenize:
 
     def test_empty(self):
         assert tokenize("") == []
+
+    def test_raw_text_is_cleaned_in_the_same_pass(self):
+        # Latin, a comma and Bengali digits split words; a joiner inside one goes
+        assert tokenize("abcবাংলা,দে\u200cশ১২৩ ক") == ["বাংলা", "দেশ", "ক"]
+
+    @given(raw_texts)
+    def test_equals_clean_text_then_whitespace_split(self, text):
+        assert tokenize(text) == clean_text(text).split()
 
 
 class TestBuildLexicon:
