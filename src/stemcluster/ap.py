@@ -28,14 +28,15 @@ the words share no character, or when that median exceeds the shorter
 word's length or 200; values lie in [-200, 0].  The median rows are
 built with array code rather than one scalar call per pair.  A
 first-occurrence table holds, per word, the first position of every
-character of the lexicon's alphabet; it is filled from the same
-code-point array that ``ngrams.gram_index`` reads, with no loop per word.  Row i gathers only the columns of
-its own distinct characters against the later words, takes absolute
-position offsets, sorts them along that short axis and reads the median
-of the shared ones; the far-distance rules then apply exactly as in the
-scalar definition, so every entry equals it bit for bit (the tests keep
-the scalar form as an oracle).  Temporaries stay at one [n, m] block per
-row, m being the row word's distinct-character count.
+character of the lexicon's alphabet; it is filled from the code-point
+array that ``ngrams.gram_index`` reads, with no loop per word.  Row i
+gathers only the columns of its own distinct characters against the
+later words, takes absolute position offsets, sorts them along that
+short axis and reads the median of the shared ones; the far-distance
+rules then apply exactly as in the scalar definition, so every entry
+equals it bit for bit (the tests keep the scalar form as an oracle).
+Temporaries stay at one [n, m] block per row, m being the row word's
+distinct-character count.
 
 Every point starts as a potential exemplar.  Each iteration sends
 responsibilities
@@ -247,13 +248,14 @@ def _median_rows(words) -> Iterator[np.ndarray]:
     # first[j, c] is the first position of character c in word j, or
     # ``absent`` when word j lacks it; ``absent`` is so large that every
     # offset against it exceeds any real one and sorts behind it.  The
-    # columns number the lexicon's distinct code points.
+    # columns number the lexicon's distinct code points in ascending order.
     n = len(words)
     codes, bounds = code_points(words)
     lengths = np.diff(bounds)
     longest = int(lengths.max())
     absent = 2 * longest
-    alphabet, column = np.unique(codes, return_inverse=True)
+    alphabet, _ = code_points(sorted(set("".join(words))))
+    column = np.searchsorted(alphabet, codes)
     owner = np.repeat(np.arange(n), lengths)
     position = np.arange(codes.size) - np.repeat(bounds[:-1], lengths)
     first = np.full(

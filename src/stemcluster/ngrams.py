@@ -65,8 +65,6 @@ def dice(w1: str, w2: str, order: str = BIGRAM) -> float:
     return dice_ratio(len(g1 & g2), len(g1), len(g2))
 
 
-
-
 def code_points(words) -> tuple[np.ndarray, np.ndarray]:
     """The words end to end as one uint32 code-point array, and their n + 1 bounds.
 
@@ -113,9 +111,12 @@ def gram_index(words, order: str = BIGRAM) -> GramIndex:
     so one stable sort by key lines each posting list up ascending and
     puts a word's repeated gram right after its first copy.
 
-    The build holds four int64 arrays about as long as the entries and
-    reuses them from step to step; the two it returns are compacted in
-    place and shrunk, so it never holds a fifth.
+    The build holds three int64 arrays about as long as the entries, the
+    key buffer, the entries and their sort order, and reuses them from
+    step to step; the two it returns are compacted in place and shrunk.
+    Large temporaries are subtracted from in place: numpy checks whether
+    it may reuse a temporary operand of 256 KiB or more by walking the C
+    stack, which maps about 0.6 MiB more of the shared libraries.
     """
     import numpy as np
 
