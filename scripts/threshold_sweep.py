@@ -11,7 +11,8 @@ import sys
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from stemcluster import GreedyConfig, cluster_greedy, load_gold, score_clusters
+from stemcluster import GreedyConfig, cluster_greedy, load_gold, report_stats, score_clusters
+from stemcluster.ngrams import GRAM_ORDERS
 from stemcluster.preprocess import read_lexicon
 
 DEFAULT_THRESHOLDS = (0.02, 0.04, 0.06, 0.1, 0.15, 0.25, 0.4, 0.6, 0.8)
@@ -21,7 +22,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("lexicon", help="lexicon file (one word per line)")
     parser.add_argument("--gold", help="gold TSV for accuracy per threshold")
-    parser.add_argument("--ngram", choices=("2", "3", "2+3"), default="2")
+    parser.add_argument("--ngram", choices=GRAM_ORDERS, default=GreedyConfig.gram_order)
     parser.add_argument(
         "--thresholds",
         type=float,
@@ -39,8 +40,8 @@ def main() -> int:
     print(header)
     for threshold in args.thresholds:
         clusters = cluster_greedy(lexicon, GreedyConfig(gram_order=args.ngram, threshold=threshold))
-        ratio = len(clusters) / lexicon.unique_tokens if lexicon.unique_tokens else 0.0
-        line = f"{threshold:>10.3f} {len(clusters):>9} {ratio:>7.3f}"
+        stats = report_stats(clusters)
+        line = f"{threshold:>10.3f} {stats['total_clusters']:>9} {stats['reduction_ratio']:>7.3f}"
         if gold is not None:
             line += f" {score_clusters(clusters, gold).accuracy:>9.3f}"
         print(line)

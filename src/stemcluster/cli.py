@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 
-from .ap import COEFFICIENT, MEDIAN, APConfig, build_similarity_matrix, run_ap
+from .ap import COEFFICIENT, MEDIAN, MEDIAN_PREFERENCE, APConfig, build_similarity_matrix, run_ap
 from .errors import ConfigError, InputEncodingError, StemclusterError
 from .evaluation import format_table, load_gold, score_clusters, report_stats
 from .clusters import read_cluster_report, write_cluster_report
@@ -31,12 +31,14 @@ from .greedy import (
 from .ngrams import COMBINED, GRAM_ORDERS
 from .preprocess import build_lexicon, read_lexicon, read_text, tokenize, write_lexicon
 
-BACKENDS = ("greedy", "ap-coeff", "ap-median")
+# each exemplar backend's similarity mode and the order its stem table records
+_AP_BACKENDS = {"ap-coeff": (COEFFICIENT, COMBINED), "ap-median": (MEDIAN, MEDIAN)}
+BACKENDS = ("greedy", *_AP_BACKENDS)
 
 
 def _preference(value: str):
-    if value == "median":
-        return "median"
+    if value == MEDIAN_PREFERENCE:
+        return value
     try:
         return float(value)
     except ValueError:
@@ -127,7 +129,7 @@ def cmd_train(args) -> int:
         order, threshold = config.gram_order, config.threshold
         write_cluster_report(args.report, clusters)
     else:
-        mode = COEFFICIENT if args.backend == "ap-coeff" else MEDIAN
+        mode, order = _AP_BACKENDS[args.backend]
         config = APConfig(
             damping=args.damping,
             preference=args.preference,
@@ -137,7 +139,6 @@ def cmd_train(args) -> int:
         matrix = build_similarity_matrix(lexicon, mode, config)
         result = run_ap(matrix, config)
         clusters = result.clusters
-        order = COMBINED if mode == COEFFICIENT else MEDIAN
         threshold = None
         write_cluster_report(
             args.report,

@@ -54,7 +54,7 @@ from pathlib import Path
 from .ap import MEDIAN
 from .clusters import Cluster
 from .errors import ConfigError, FormatError, PartitionError
-from .ngrams import BIGRAM, GRAM_ORDERS, dice_ratio, gram_index
+from .ngrams import BIGRAM, GRAM_ORDERS, dice_ratio, gram_index, gram_set
 from .preprocess import Lexicon, parse_word_pairs, read_text, refuse_carriage_returns, tokenize
 
 _TABLE_MAGIC = "#stemcluster v1"
@@ -75,8 +75,7 @@ class GreedyConfig:
     threshold: float = 0.06
 
     def __post_init__(self):
-        if self.gram_order not in GRAM_ORDERS:
-            raise ConfigError(f"gram order must be one of {GRAM_ORDERS}, got {self.gram_order!r}")
+        gram_set("", self.gram_order)  # refuses an unknown order
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError(f"threshold must lie strictly between 0 and 1, got {self.threshold}")
 
@@ -89,15 +88,6 @@ class StemTable:
     order: str
     threshold: float | None
 
-    @property
-    def lexicon_size(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cluster_count(self) -> int:
-        # every stem is a member of its own cluster, so stems are distinct
-        return len(set(self.entries.values()))
-
     def get(self, word: str) -> str | None:
         """Stem of ``word``, else of its one cleaned token; None when unknown.
 
@@ -109,9 +99,6 @@ class StemTable:
             if len(tokens) == 1:
                 stem = self.entries.get(tokens[0])
         return stem
-
-    def __contains__(self, word: str) -> bool:
-        return self.get(word) is not None
 
 
 def cluster_greedy(lexicon: Lexicon, config: GreedyConfig | None = None) -> list[Cluster]:
@@ -219,16 +206,13 @@ def read_stem_table(path) -> StemTable:
     if order not in _TABLE_ORDERS:
         raise FormatError(f"order must be one of {_TABLE_ORDERS}, got {order!r}", path=path, line=1)
     try:
-        threshold = None if value == "-" else float(value)
-    except ValueError:
-        raise FormatError(f"bad threshold value {value!r}", path=path, line=1) from None
-    # the range GreedyConfig trains with; also refuses nan and inf
-    if threshold is not None and not 0.0 < threshold < 1.0:
+        threshold = None if value == "-" else GreedyConfig(threshold=float(value)).threshold
+    except (ValueError, ConfigError) as exc:
         raise FormatError(
-            f"threshold must be '-' or lie strictly between 0 and 1, got {value!r}",
+            f"bad threshold value {value!r} ({exc}); '-' is also accepted",
             path=path,
             line=1,
-        )
+        ) from None
     # the header is a '#' line, so the row reader skips it
     entries = parse_word_pairs(text, "stem", path)
     return StemTable(entries=entries, order=order, threshold=threshold)

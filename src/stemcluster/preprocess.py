@@ -104,10 +104,10 @@ def build_lexicon(tokens) -> Lexicon:
 
 
 def read_text(path) -> str:
-    """Read a file as strict UTF-8; reject anything else at load time."""
+    """Read a file as strict UTF-8 less one leading byte-order mark; reject anything else."""
     data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise InputEncodingError(f"{path}: not valid UTF-8 ({exc})") from None
 
@@ -167,7 +167,9 @@ def write_lexicon(lexicon: Lexicon, path, stats: bool = False) -> None:
 def read_lexicon(path) -> Lexicon:
     """Parse a lexicon file; a broken ``Lexicon`` rule is reported at its file line.
 
-    A ``#stats`` line needs ``total >= unique`` and ``unique`` equal to the word count.
+    A line whose first token is ``#stats`` must be the file's one
+    ``#stats total=N unique=M`` line, with ``N >= M`` and ``M`` equal to
+    the word count.
     """
     text = read_text(path)
     words: list[str] = []
@@ -177,8 +179,11 @@ def read_lexicon(path) -> Lexicon:
         if not line:
             continue
         if line.startswith("#"):
-            match = _STATS_LINE.match(line)
-            if match:
+            if line.split(maxsplit=1)[0] == "#stats":
+                match = _STATS_LINE.match(line)
+                if match is None or stats is not None:
+                    what = "second #stats line" if match else "expected '#stats total=N unique=M'"
+                    raise FormatError(f"{what}, got {line!r}", path=path, line=lineno)
                 total, unique = int(match.group(1)), int(match.group(2))
                 if total < unique:
                     raise FormatError("stats line has total < unique", path=path, line=lineno)

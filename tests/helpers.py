@@ -27,7 +27,7 @@ BANGLA_LETTERS = (
     "অআইঈউঊএঐওঔ"
     "কখগঘঙচছজঝঞটঠডঢণতথদধনপফবভমযরলশষসহ"
     "ািীুূৃেৈোৌ"
-    "্ংঃঁড়ঢ়য়"
+    "্ংঃঁ়"
 )
 
 SUFFIXES = ("ের", "রা", "টা", "টি", "তে", "কে", "গুলো", "গুলি", "দের", "ে", "র")

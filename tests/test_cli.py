@@ -1,3 +1,4 @@
+import codecs
 import contextlib
 import io
 import itertools
@@ -15,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from stemcluster.cli import main
 from stemcluster.greedy import read_stem_table, stem_word
 from stemcluster.clusters import read_cluster_report
+from stemcluster.evaluation import report_stats
 
 from helpers import src_env
 
@@ -130,8 +132,8 @@ class TestTrain:
 
     def test_stem_table_round_trips(self, trained):
         table = read_stem_table(trained["table"])
-        assert table.lexicon_size == 48
-        assert table.cluster_count == 11
+        assert len(table.entries) == 48
+        assert len(set(table.entries.values())) == 11
         assert table.threshold == 0.06
 
     def test_byte_identical_reruns(self, tmp_path, demo_expected_dir):
@@ -156,6 +158,17 @@ class TestTrain:
         clusters, _ = read_cluster_report(report)
         assert len(clusters) == 1
         assert clusters[0].stem == "বাংলা"
+
+    def test_lexicon_with_byte_order_mark_trains_clean_stems(self, tmp_path, capsys):
+        lexicon = tmp_path / "lex.txt"
+        lexicon.write_bytes(codecs.BOM_UTF8 + "কাজ\nকাজের\n".encode("utf-8"))
+        table = tmp_path / "t.tsv"
+        assert run_cli(
+            "train", str(lexicon), "--stem-table", str(table), "--report", str(tmp_path / "r.json")
+        ) == 0
+        capsys.readouterr()
+        assert run_cli("stem", str(table), "কাজের") == 0
+        assert capsys.readouterr().out == "কাজ\n"
 
     def test_ap_median_two_unrelated_words_two_clusters(self, tmp_path):
         lexicon = tmp_path / "lex.txt"
@@ -526,6 +539,15 @@ class TestEvaluate:
         assert run_cli("evaluate", str(report), str(gold), "--strict") == 0
         assert json.loads(capsys.readouterr().out)["accuracy"] == 1.0
 
+    def test_gold_with_byte_order_mark_covers_its_first_word(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        report.write_text('[{"stem": "কাজ", "members": ["কাজ", "কাজের"]}]', encoding="utf-8")
+        gold = tmp_path / "gold.tsv"
+        gold.write_bytes(codecs.BOM_UTF8 + "কাজ\tকাজ\nকাজের\tকাজ\n".encode("utf-8"))
+        assert run_cli("evaluate", str(report), str(gold), "--strict") == 0
+        got = json.loads(capsys.readouterr().out)
+        assert (got["uncovered_words"], got["correct_words"]) == (0, 2)
+
     def test_json_matches_committed_report(self, trained, demo_gold, demo_expected_dir, capsys):
         assert run_cli("evaluate", str(trained["report"]), str(demo_gold)) == 0
         got = json.loads(capsys.readouterr().out)
@@ -732,6 +754,24 @@ for name, argv, stdin in steps:
     loaded.append((name, *heavy()))
 print(json.dumps(loaded))
 """
+
+
+class TestThresholdSweep:
+    def test_default_row_matches_committed_greedy_report(self, demo_expected_dir, demo_gold):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "threshold_sweep.py"
+        proc = subprocess.run(
+            [sys.executable, str(script), str(demo_expected_dir / "lexicon.txt"),
+             "--gold", str(demo_gold)],
+            capture_output=True, text=True, env=src_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = {fields[0]: fields[1:] for fields in map(str.split, proc.stdout.splitlines()[1:])}
+        clusters, _ = read_cluster_report(demo_expected_dir / "greedy_report.json")
+        stats = report_stats(clusters)
+        assert rows["0.060"][:2] == ["11", "0.229"]
+        assert rows["0.060"][:2] == [
+            str(stats["total_clusters"]), f"{stats['reduction_ratio']:.3f}"
+        ]
 
 
 class TestEntryPoint:

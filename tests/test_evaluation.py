@@ -1,3 +1,4 @@
+import codecs
 import random
 
 import pytest
@@ -45,6 +46,11 @@ class TestLoadGold:
         with pytest.raises(FormatError, match="CRLF line endings") as err:
             load_gold(path)
         assert err.value.line == 2
+
+    def test_leading_byte_order_mark_is_not_part_of_the_first_word(self, tmp_path):
+        path = tmp_path / "gold.tsv"
+        path.write_bytes(codecs.BOM_UTF8 + "কাজ\tকাজ\nকাজের\tকাজ\n".encode("utf-8"))
+        assert load_gold(path) == {"কাজ": "কাজ", "কাজের": "কাজ"}
 
     def test_malformed_row_rejected(self, tmp_path):
         path = tmp_path / "gold.tsv"

@@ -1,3 +1,4 @@
+import codecs
 import random
 import sys
 import tracemalloc
@@ -20,7 +21,7 @@ from stemcluster import (
 from stemcluster import greedy
 from stemcluster.clusters import Cluster, read_cluster_report, select_stem, write_cluster_report
 from stemcluster.errors import ConfigError, FormatError, PartitionError
-from stemcluster.ngrams import dice_ratio, gram_index
+from stemcluster.ngrams import dice_ratio, gram_index, gram_set
 from stemcluster.preprocess import clean_text, read_text, tokenize
 
 from helpers import BANGLA_LETTERS, greedy_oracle, random_word, synthetic_lexicon
@@ -88,6 +89,13 @@ class TestConfig:
     def test_bad_gram_order(self):
         with pytest.raises(ConfigError):
             GreedyConfig(gram_order="4")
+
+    def test_gram_order_rule_is_the_gram_set_rule(self):
+        with pytest.raises(ConfigError) as config_err:
+            GreedyConfig(gram_order="4")
+        with pytest.raises(ConfigError) as gram_err:
+            gram_set("ab", "4")
+        assert str(config_err.value) == str(gram_err.value)
 
 
 class TestClusterGreedy:
@@ -266,13 +274,13 @@ class TestStemTable:
         clusters = [Cluster(stem="ab", members=("ab", "abc"))]
         table = default_table(clusters)
         assert table.entries == {"ab": "ab", "abc": "ab"}
-        assert table.lexicon_size == 2
-        assert table.cluster_count == 1
+        assert len(table.entries) == 2
+        assert len(set(table.entries.values())) == 1
 
     def test_empty(self):
         table = default_table([])
         assert table.entries == {}
-        assert table.cluster_count == 0
+        assert len(set(table.entries.values())) == 0
 
     def test_overlapping_clusters_rejected(self):
         clusters = [
@@ -352,6 +360,21 @@ class TestStemTable:
             read_stem_table(path)
         assert err.value.line == 1
         assert repr(value) in str(err.value)
+        assert "'-'" in str(err.value)
+        # the header accepts exactly the thresholds greedy trains with
+        if value != "abc":
+            with pytest.raises(ConfigError):
+                GreedyConfig(threshold=float(value))
+
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "table.tsv"
+        path.write_bytes(
+            codecs.BOM_UTF8
+            + "#stemcluster v1 order=2 threshold=0.06\nকাজ\tকাজ\nকাজের\tকাজ\n".encode("utf-8")
+        )
+        table = read_stem_table(path)
+        assert table.entries == {"কাজ": "কাজ", "কাজের": "কাজ"}
+        assert (table.order, table.threshold) == ("2", 0.06)
 
     @pytest.mark.parametrize(
         "header",
@@ -376,11 +399,11 @@ class TestStemTable:
     def test_missed_query_is_looked_up_by_its_one_cleaned_token(self):
         table = default_table([Cluster(stem="কাজ", members=("কাজ", "কাজের"))])
         assert stem_word(table, "কাজের,") == "কাজ"
-        assert "কাজের," in table
+        assert table.get("কাজের,") == "কাজ"
         # two tokens, or none, stay unknown and come back unchanged
         assert stem_word(table, "কাজ, কাজের") == "কাজ, কাজের"
         assert stem_word(table, "abc") == "abc"
-        assert "কাজ, কাজের" not in table
+        assert table.get("কাজ, কাজের") is None
 
     @pytest.mark.parametrize("order", ["2", "3", "2+3", "median"])
     def test_every_trained_order_accepted(self, tmp_path, order):
@@ -396,6 +419,13 @@ class TestClusterReportFiles:
         write_cluster_report(path, clusters)
         loaded, meta = read_cluster_report(path)
         assert loaded == clusters
+        assert meta == {}
+
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_bytes(codecs.BOM_UTF8 + '[{"stem":"কাজ","members":["কাজ","কাজের"]}]'.encode("utf-8"))
+        loaded, meta = read_cluster_report(path)
+        assert loaded == [Cluster(stem="কাজ", members=("কাজ", "কাজের"))]
         assert meta == {}
 
     def test_bad_json_rejected(self, tmp_path):

@@ -1,3 +1,5 @@
+import codecs
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -223,6 +225,50 @@ class TestLexiconFiles:
         assert err.value.line == 2
         assert "unique=1" in str(err.value)
         assert "3 words" in str(err.value)
+
+    def test_rejects_second_stats_line(self, tmp_path):
+        path = tmp_path / "lex.txt"
+        path.write_text("#stats total=5 unique=2\nকখ\n#stats total=9 unique=2\nগঘ\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="second #stats line") as err:
+            read_lexicon(path)
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "#stats",
+            "#stats total=5",
+            "#stats unique=2 total=5",
+            "#stats total=5 unique=2 extra",
+            "#stats total=five unique=2",
+            "#stats\ttotal=5 unique=2",
+        ],
+    )
+    def test_rejects_malformed_stats_line(self, tmp_path, line):
+        path = tmp_path / "lex.txt"
+        path.write_text(f"কখ\n{line}\nগঘ\n", encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            read_lexicon(path)
+        assert err.value.line == 2
+        assert repr(line) in str(err.value)
+
+    @pytest.mark.parametrize("line", ["# stats total=5", "#statistics total=5"])
+    def test_other_comment_lines_are_skipped(self, tmp_path, line):
+        path = tmp_path / "lex.txt"
+        path.write_text(f"কখ\n{line}\nগঘ\n", encoding="utf-8")
+        lexicon = read_lexicon(path)
+        assert lexicon.words == ("কখ", "গঘ")
+        assert lexicon.total_tokens == 2
+
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "lex.txt"
+        path.write_bytes(codecs.BOM_UTF8 + "#stats total=3 unique=2\nকাজ\nকাজের\n".encode("utf-8"))
+        lexicon = read_lexicon(path)
+        assert lexicon.words == ("কাজ", "কাজের")
+        assert lexicon.total_tokens == 3
+        # only one leading mark is dropped; a second one is text
+        path.write_bytes(codecs.BOM_UTF8 * 2 + b"ab")
+        assert read_text(path) == "\ufeffab"
 
     @given(
         words=st.lists(
