@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 from .errors import FormatError
-from .preprocess import lexicon_sort_key, read_text
+from .preprocess import lexicon_sort_key, read_text, write_lines
 
 
 def select_stem(members) -> str:
@@ -61,9 +60,7 @@ def write_cluster_report(
             "iterations": iterations,
             "clusters": entries,
         }
-    Path(path).write_bytes(
-        (json.dumps(payload, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
-    )
+    write_lines(path, [json.dumps(payload, ensure_ascii=False, indent=2)])
 
 
 def read_cluster_report(path) -> tuple[list[Cluster], dict]:

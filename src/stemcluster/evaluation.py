@@ -10,10 +10,9 @@ a family that clustered around the "wrong" representative.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
-from .preprocess import parse_word_pairs, read_text
+from .preprocess import parse_word_pairs, read_lines
 
 
 @dataclass(frozen=True)
@@ -26,8 +25,8 @@ class EvalReport:
     uncovered_words: int
 
     def accuracy_percent(self) -> int:
-        """Whole-percent display, truncated (0.877 prints as 87%)."""
-        return math.floor(self.accuracy * 100)
+        """Whole-percent display, truncated exactly from the counts (0.877 prints as 87%)."""
+        return self.correct_clusters * 100 // self.total_clusters if self.total_clusters else 0
 
     def as_dict(self) -> dict:
         payload = asdict(self)
@@ -37,7 +36,7 @@ class EvalReport:
 
 def load_gold(path) -> dict[str, str]:
     """Parse a `word<TAB>label` TSV; conflicting duplicates are rejected."""
-    return parse_word_pairs(read_text(path), "label", path)
+    return parse_word_pairs(read_lines(path), "label", path)
 
 
 def score_clusters(clusters, gold: dict[str, str], strict: bool = False) -> EvalReport:

@@ -40,6 +40,8 @@ scan's at every budget; a budget of 1 scores the seeds one at a time.
 ``stem_table_from_clusters`` is the one stem-table constructor, for every
 backend; ``stem_word`` and the ``stem`` command look words up through
 ``StemTable.get``, which cleans a query only when it misses as given.
+The table file is written by ``preprocess.write_lines`` and read by
+``preprocess.read_lines``, which refuses a carriage return.
 
 numpy is imported inside ``cluster_greedy`` alone, so the commands that
 only read or write a stem table start without it.
@@ -49,13 +51,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from pathlib import Path
 
 from .ap import MEDIAN
 from .clusters import Cluster
 from .errors import ConfigError, FormatError, PartitionError
 from .ngrams import BIGRAM, GRAM_ORDERS, dice_ratio, gram_index, gram_set
-from .preprocess import Lexicon, parse_word_pairs, read_text, refuse_carriage_returns, tokenize
+from .preprocess import Lexicon, parse_word_pairs, read_lines, tokenize, write_lines
 
 _TABLE_MAGIC = "#stemcluster v1"
 # the one header form write_stem_table writes
@@ -187,15 +188,13 @@ def write_stem_table(table: StemTable, path) -> None:
     """TSV rows sorted by word under a `#stemcluster v1` header, LF, UTF-8."""
     threshold = "-" if table.threshold is None else repr(table.threshold)
     lines = [f"{_TABLE_MAGIC} order={table.order} threshold={threshold}"]
-    for word in sorted(table.entries):
-        lines.append(f"{word}\t{table.entries[word]}")
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    lines.extend(f"{word}\t{table.entries[word]}" for word in sorted(table.entries))
+    write_lines(path, lines)
 
 
 def read_stem_table(path) -> StemTable:
-    text = read_text(path)
-    refuse_carriage_returns(text, path)
-    header = _TABLE_HEADER.fullmatch(text.partition("\n")[0])
+    lines = read_lines(path)
+    header = _TABLE_HEADER.fullmatch(lines[0])
     if header is None:
         raise FormatError(
             f"expected a '{_TABLE_MAGIC} order=<order> threshold=<threshold>' header",
@@ -214,5 +213,5 @@ def read_stem_table(path) -> StemTable:
             line=1,
         ) from None
     # the header is a '#' line, so the row reader skips it
-    entries = parse_word_pairs(text, "stem", path)
+    entries = parse_word_pairs(lines, "stem", path)
     return StemTable(entries=entries, order=order, threshold=threshold)

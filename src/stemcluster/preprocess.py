@@ -13,8 +13,9 @@ joiners are gone, it finds the maximal runs of kept code points, which
 are exactly the whitespace-split words of ``clean_text``.  ``preprocess``
 and the stem-table lookup both call it.
 
-The ``word<TAB>value`` reader refuses a file holding a carriage return:
-split on LF alone, a CRLF file would leave a CR on every value.
+Every line file goes through ``read_lines`` and ``write_lines``: UTF-8,
+LF-ended lines, and a file holding a carriage return is refused, since
+split on LF alone a CRLF file would leave a CR on every line.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ _JOINERS = re.compile("[‌‍]")
 _KEPT = "ঀ-৥ৰ-৿"
 _DROP_RUNS = re.compile(f"[^{_KEPT}]+")
 _TOKENS = re.compile(f"[{_KEPT}]+")
-_STATS_LINE = re.compile(r"#stats total=(\d+) unique=(\d+)\s*$")
+_STATS_LINE = re.compile(r"#stats total=([0-9]+) unique=([0-9]+)\s*$")
 
 
 def lexicon_sort_key(word: str) -> tuple[int, str]:
@@ -44,9 +45,10 @@ class Lexicon:
 
     ``words`` is strictly ascending under :func:`lexicon_sort_key`, which
     both enforces uniqueness and pins the deterministic processing order
-    the clustering backends rely on.  Words have two or more characters
-    and no whitespace.  A word breaking a rule raises ``FormatError`` with
-    ``line`` set to its index in ``words``.
+    the clustering backends rely on.  Words have two or more characters,
+    no whitespace and no leading '#', which marks a comment line.  A word
+    breaking a rule raises ``FormatError`` with ``line`` set to its index
+    in ``words``.
     """
 
     words: tuple[str, ...]
@@ -62,6 +64,8 @@ class Lexicon:
                 raise FormatError(f"one-character word {word!r}", line=index)
             if word.split() != [word]:
                 raise FormatError(f"word {word!r} contains whitespace", line=index)
+            if word.startswith("#"):
+                raise FormatError(f"word {word!r} starts with '#', a comment mark", line=index)
             key = lexicon_sort_key(word)
             if previous is not None and key <= previous:
                 raise FormatError(
@@ -112,12 +116,9 @@ def read_text(path) -> str:
         raise InputEncodingError(f"{path}: not valid UTF-8 ({exc})") from None
 
 
-def refuse_carriage_returns(text: str, path) -> None:
-    """Raise ``FormatError`` at the first line of ``text`` that holds a CR.
-
-    The readers split on LF alone, so a CRLF file would leave a CR on
-    every value it reads.
-    """
+def read_lines(path) -> list[str]:
+    """The LF-split lines of ``read_text(path)``; a carriage return is refused at its line."""
+    text = read_text(path)
     cr = text.find("\r")
     if cr >= 0:
         raise FormatError(
@@ -125,18 +126,25 @@ def refuse_carriage_returns(text: str, path) -> None:
             path=path,
             line=text.count("\n", 0, cr) + 1,
         )
+    return text.split("\n")
 
 
-def parse_word_pairs(text: str, value: str, path) -> dict[str, str]:
-    """Rows of ``word<TAB>value`` from a file's text; blank and '#' lines are skipped.
+def write_lines(path, lines: list[str]) -> None:
+    """Write ``lines`` as UTF-8, each ended by LF; no lines make an empty file."""
+    text = "\n".join(lines)
+    if lines:
+        text += "\n"
+    Path(path).write_bytes(text.encode("utf-8"))
+
+
+def parse_word_pairs(lines: list[str], value: str, path) -> dict[str, str]:
+    """Rows of ``word<TAB>value`` from a file's lines; blank and '#' lines are skipped.
 
     ``value`` names the second column in messages.  A word given two
-    different values is rejected at the second row, and a line holding
-    a carriage return before any row is read.
+    different values is rejected at the second row.
     """
-    refuse_carriage_returns(text, path)
     pairs: dict[str, str] = {}
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in enumerate(lines, start=1):
         if not line or line.startswith("#"):
             continue
         fields = line.split("\t")
@@ -158,10 +166,7 @@ def write_lexicon(lexicon: Lexicon, path, stats: bool = False) -> None:
     if stats:
         lines.append(f"#stats total={lexicon.total_tokens} unique={lexicon.unique_tokens}")
     lines.extend(lexicon.words)
-    body = "\n".join(lines)
-    if body:
-        body += "\n"
-    Path(path).write_bytes(body.encode("utf-8"))
+    write_lines(path, lines)
 
 
 def read_lexicon(path) -> Lexicon:
@@ -171,11 +176,10 @@ def read_lexicon(path) -> Lexicon:
     ``#stats total=N unique=M`` line, with ``N >= M`` and ``M`` equal to
     the word count.
     """
-    text = read_text(path)
     words: list[str] = []
     linenos: list[int] = []
     stats = None
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in enumerate(read_lines(path), start=1):
         if not line:
             continue
         if line.startswith("#"):

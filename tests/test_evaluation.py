@@ -176,6 +176,24 @@ class TestReportFormatting:
         )
         assert report.accuracy_percent() == 72
 
+    def test_percent_is_not_lost_to_float_rounding(self):
+        # 0.58 * 100 is 57.99999999999999 in floating point
+        clusters = [cluster(f"a{i}", f"b{i}") for i in range(100)]
+        gold = {f"a{i}": "S" if i < 58 else f"S{i}" for i in range(100)}
+        gold.update({f"b{i}": "S" for i in range(100)})
+        report = score_clusters(clusters, gold)
+        assert report.correct_clusters == 58
+        assert report.accuracy_percent() == 58
+        assert report.as_dict()["accuracy_percent"] == 58
+        assert format_table(report).splitlines()[-1].endswith("58%")
+
+    def test_percent_is_the_integer_quotient_of_the_counts(self):
+        for total in range(201):
+            for correct in range(total + 1):
+                accuracy = correct / total if total else 0.0
+                report = EvalReport(total, total, correct, correct, accuracy, 0)
+                assert report.accuracy_percent() == (correct * 100 // total if total else 0)
+
     def test_table_layout(self):
         report = EvalReport(
             unique_tokens=48,

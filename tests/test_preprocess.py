@@ -170,6 +170,13 @@ class TestLexiconType:
         with pytest.raises(ValueError):
             Lexicon(words=("কখ",), total_tokens=0)
 
+    def test_rejects_word_starting_with_comment_mark(self):
+        # every line reader skips '#' lines, so such a word could not be read back
+        with pytest.raises(FormatError, match="starts with '#'") as err:
+            build_lexicon(["#ab", "cd", "ef"])
+        assert err.value.line == 2
+        assert Lexicon(words=("a#", "b#c"), total_tokens=2).words == ("a#", "b#c")
+
 
 class TestLexiconFiles:
     def test_round_trip(self, tmp_path):
@@ -242,6 +249,7 @@ class TestLexiconFiles:
             "#stats total=5 unique=2 extra",
             "#stats total=five unique=2",
             "#stats\ttotal=5 unique=2",
+            "#stats total=১০ unique=২",
         ],
     )
     def test_rejects_malformed_stats_line(self, tmp_path, line):
@@ -300,7 +308,9 @@ class TestLexiconFiles:
         with pytest.raises(FormatError) as err:
             read_lexicon(path)
         assert err.value.line == expected_line
-        assert breakage in str(err.value)
+        # a CR is refused by the line reader, as in every line file
+        crlf = breakage == "contains whitespace" and space == "\r"
+        assert ("CRLF line endings" if crlf else breakage) in str(err.value)
 
     def test_invalid_utf8_rejected_at_load(self, tmp_path):
         path = tmp_path / "bad.txt"
