@@ -22,7 +22,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("lexicon", help="lexicon file (one word per line)")
     parser.add_argument("--gold", help="gold TSV for accuracy per threshold")
-    parser.add_argument("--ngram", choices=GRAM_ORDERS, default=GreedyConfig.gram_order)
+    parser.add_argument("--ngram", choices=GRAM_ORDERS, default=GreedyConfig().gram_order)
     parser.add_argument(
         "--thresholds",
         type=float,

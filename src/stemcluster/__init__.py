@@ -5,9 +5,9 @@ clustering on character n-gram dice similarity, and from-scratch affinity
 propagation over a dense similarity matrix (dice or median-offset mode).
 Each cluster's stem is its shortest member.
 
-numpy is imported inside the functions that use it, so ``import
-stemcluster`` and the commands that build no arrays start without
-loading it.
+numpy is imported inside the functions that use it and json inside the
+ones that read or write JSON, so ``import stemcluster`` loads neither;
+the record types are named tuples, which generate no code at import.
 """
 
 from .ap import APConfig, build_similarity_matrix, run_ap

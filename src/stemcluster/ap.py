@@ -67,7 +67,7 @@ the same float64 operations as in the textbook update, so the messages
 are bitwise those of the version with a fresh n x n temporary per step.
 A run therefore holds three n x n arrays, the matrix, R and A; R and A
 are freed before each point's exemplar similarities are gathered.
-``PEAK_N2`` is the process peak that the capacity guard reports.
+``PEAK_N2`` is the process peak that ``estimated_peak`` reports.
 
 Exactly tied instances (e.g. two identical points with equal preference)
 make the messages perfectly symmetric and every self-belief converges to
@@ -92,8 +92,8 @@ run the guard refuses does not load it either.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from collections import namedtuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .clusters import Cluster, select_stem
 from .errors import CapacityError, ConfigError, DegenerateClusteringError
@@ -127,14 +127,12 @@ _BLOCK_BYTES = 1 << 19
 PEAK_N2 = 3.5
 
 
-@dataclass(frozen=True)
-class APConfig:
-    damping: float = 0.5
-    preference: float | str = MEDIAN_PREFERENCE
-    max_iterations: int = 200
-    max_points: int = 20000
+class APConfig(namedtuple("APConfig", "damping preference max_iterations max_points")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, damping: float = 0.5, preference: float | str = MEDIAN_PREFERENCE,
+                max_iterations: int = 200, max_points: int = 20000):
+        self = super().__new__(cls, damping, preference, max_iterations, max_points)
         if not 0.5 <= self.damping < 1.0:
             raise ConfigError(f"damping must lie in [0.5, 1), got {self.damping}")
         if isinstance(self.preference, str):
@@ -148,22 +146,20 @@ class APConfig:
             raise ConfigError("max_iterations must be at least 1")
         if self.max_points < 2:
             raise ConfigError("max_points must be at least 2")
+        return self
 
 
-@dataclass
-class SimilarityMatrix:
-    words: tuple[str, ...]
-    s: np.ndarray
-    mode: str
+class SimilarityMatrix(namedtuple("SimilarityMatrix", "words s mode")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, words: tuple[str, ...], s: np.ndarray, mode: str):
         import numpy as np
 
-        self.words = tuple(self.words)
-        self.s = np.ascontiguousarray(self.s, dtype=np.float64)
-        if not self.s.flags.writeable:
+        s = np.ascontiguousarray(s, dtype=np.float64)
+        if not s.flags.writeable:
             # run_ap lowers the diagonal in place for the length of a run
-            self.s = self.s.copy()
+            s = s.copy()
+        self = super().__new__(cls, tuple(words), s, mode)
         n = len(self.words)
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
@@ -181,6 +177,7 @@ class SimilarityMatrix:
             # a nan fails both comparisons
             if not (block.min() >= low and block.max() <= high):
                 raise ConfigError(f"off-diagonal similarities out of range for mode {self.mode!r}")
+        return self
 
     def off_diagonal(self) -> np.ndarray:
         """The off-diagonal entries, row by row, as an [n-1, n] view on ``s``."""
@@ -189,13 +186,20 @@ class SimilarityMatrix:
         return self.s.reshape(-1)[1:].reshape(max(n - 1, 0), n + 1)[:, :n]
 
 
-@dataclass
-class APResult:
+class APResult(NamedTuple):
     clusters: list[Cluster]
     exemplars: list[str]
     converged: bool
     iterations: int
     mode: str
+
+
+def estimated_peak(n: int) -> str:
+    """The estimated process peak of an AP run over ``n`` words, for messages."""
+    return (
+        f"affinity propagation over {n} words would peak near "
+        f"{PEAK_N2 * n * n * 8 / 2**30:.1f} GiB ({PEAK_N2} x n^2 x 8 B)"
+    )
 
 
 def build_similarity_matrix(
@@ -207,9 +211,7 @@ def build_similarity_matrix(
     n = len(words)
     if n > cfg.max_points:
         raise CapacityError(
-            f"lexicon has {n} words but max_points={cfg.max_points}; "
-            f"affinity propagation over {n} words would peak near "
-            f"{PEAK_N2 * n * n * 8 / 2**30:.1f} GiB ({PEAK_N2} x n^2 x 8 B)"
+            f"lexicon has {n} words but max_points={cfg.max_points}; {estimated_peak(n)}"
         )
     if n < 2:
         raise ConfigError("similarity matrix needs at least 2 words")
@@ -295,12 +297,13 @@ _MODES = {
     MEDIAN: (_median_rows, (-FAR_DISTANCE, 0.0)),
 }
 MODES = tuple(_MODES)
+_DEFAULTS = APConfig()
 
 
 def message_passing(
     S: np.ndarray,
-    damping: float = APConfig.damping,
-    max_iterations: int = APConfig.max_iterations,
+    damping: float = _DEFAULTS.damping,
+    max_iterations: int = _DEFAULTS.max_iterations,
     convergence_window: int = 15,
 ) -> tuple[np.ndarray, np.ndarray, int, bool]:
     """Iterate the damped updates on a raw similarity matrix.

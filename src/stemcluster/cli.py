@@ -14,10 +14,11 @@ each block's answers at once; argument words are answered as one block.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .ap import COEFFICIENT, MEDIAN, MEDIAN_PREFERENCE, APConfig, build_similarity_matrix, run_ap
+from .ap import (
+    COEFFICIENT, MEDIAN, MEDIAN_PREFERENCE, APConfig, build_similarity_matrix, estimated_peak, run_ap
+)
 from .errors import ConfigError, InputEncodingError, StemclusterError
 from .evaluation import format_table, load_gold, score_clusters, report_stats
 from .clusters import read_cluster_report, write_cluster_report
@@ -63,6 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cluster related Bangla word forms into stem groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    greedy, ap = GreedyConfig(), APConfig()
 
     p = sub.add_parser("preprocess", help="clean raw text files into a lexicon")
     p.add_argument("inputs", nargs="+", metavar="TEXTFILE")
@@ -73,16 +75,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="cluster a lexicon and write the stem table")
     p.add_argument("lexicon", metavar="LEXICON")
     p.add_argument("--backend", choices=BACKENDS, default="greedy")
-    p.add_argument("--ngram", choices=GRAM_ORDERS, default=GreedyConfig.gram_order,
+    p.add_argument("--ngram", choices=GRAM_ORDERS, default=greedy.gram_order,
                    help="gram order for the greedy backend (default %(default)s)")
-    p.add_argument("--threshold", type=float, default=GreedyConfig.threshold,
+    p.add_argument("--threshold", type=float, default=greedy.threshold,
                    help="greedy similarity threshold (default %(default)s)")
-    p.add_argument("--damping", type=float, default=APConfig.damping,
+    p.add_argument("--damping", type=float, default=ap.damping,
                    help="message damping factor (default %(default)s)")
-    p.add_argument("--preference", type=_preference, default=APConfig.preference,
+    p.add_argument("--preference", type=_preference, default=ap.preference,
                    help="'median' or a fixed self-similarity (default %(default)s)")
-    p.add_argument("--max-iter", type=int, default=APConfig.max_iterations)
-    p.add_argument("--max-points", type=int, default=APConfig.max_points,
+    p.add_argument("--max-iter", type=int, default=ap.max_iterations)
+    p.add_argument("--max-points", type=int, default=ap.max_points,
                    help="refuse dense-matrix clustering beyond this many words")
     p.add_argument("--stem-table", default="stem_table.tsv", help="stem table TSV to write")
     p.add_argument("--report", default="cluster_report.json", help="cluster report JSON to write")
@@ -136,8 +138,11 @@ def cmd_train(args) -> int:
             max_iterations=args.max_iter,
             max_points=args.max_points,
         )
-        matrix = build_similarity_matrix(lexicon, mode, config)
-        result = run_ap(matrix, config)
+        try:
+            matrix = build_similarity_matrix(lexicon, mode, config)
+            result = run_ap(matrix, config)
+        except MemoryError:
+            raise MemoryError(f"out of memory: {estimated_peak(lexicon.unique_tokens)}") from None
         clusters = result.clusters
         threshold = None
         write_cluster_report(
@@ -211,6 +216,7 @@ def _answers(table, words, mark_oov: bool) -> list[str]:
 
 
 def cmd_evaluate(args) -> int:
+    import json
     if args.min_accuracy is not None and not 0.0 <= args.min_accuracy <= 1.0:
         raise ConfigError(f"--min-accuracy must lie in [0, 1], got {args.min_accuracy}")
     clusters, _meta = read_cluster_report(args.report)
@@ -237,6 +243,9 @@ def main(argv=None) -> int:
     except (StemclusterError, OSError) as exc:
         print(f"error: {_one_line(exc)}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 1
+    except MemoryError as exc:
+        print(f"error: {_one_line(exc) or 'out of memory'}", file=sys.stderr)
+        return 1
     except UnicodeEncodeError as exc:
         # every file is written as UTF-8, so only stdout's encoding can refuse
         print(f"error: stdout: cannot encode the output as {exc.encoding} ({exc.reason})",

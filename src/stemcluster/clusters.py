@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import FormatError
 from .preprocess import lexicon_sort_key, read_text, write_lines
@@ -17,19 +16,18 @@ def select_stem(members) -> str:
     return min(members, key=lexicon_sort_key)
 
 
-@dataclass(frozen=True)
-class Cluster:
-    stem: str
-    members: tuple[str, ...]
+class Cluster(namedtuple("Cluster", "stem members")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(self.members))
+    def __new__(cls, stem: str, members: tuple[str, ...]):
+        self = super().__new__(cls, stem, tuple(members))
         if not self.members:
             raise ValueError("a cluster needs at least one member")
         if len(set(self.members)) != len(self.members):
             raise ValueError("cluster members must be pairwise distinct")
         if self.stem not in self.members:
             raise ValueError(f"stem {self.stem!r} is not a member of its cluster")
+        return self
 
 
 def write_cluster_report(
@@ -48,6 +46,7 @@ def write_cluster_report(
     mode, converged and iterations), each entry gains its exemplar and the
     array is wrapped in an object carrying {mode, converged, iterations}.
     """
+    import json
     entries = [{"stem": c.stem, "members": list(c.members)} for c in clusters]
     if exemplars is None:
         payload = entries
@@ -69,6 +68,7 @@ def read_cluster_report(path) -> tuple[list[Cluster], dict]:
     The clusters must partition their words: string stems and members,
     and no word in more than one cluster.
     """
+    import json
     text = read_text(path)
     try:
         payload = json.loads(text)

@@ -10,13 +10,12 @@ a family that clustered around the "wrong" representative.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .preprocess import parse_word_pairs, read_lines
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     unique_tokens: int
     total_clusters: int
     correct_clusters: int
@@ -29,9 +28,7 @@ class EvalReport:
         return self.correct_clusters * 100 // self.total_clusters if self.total_clusters else 0
 
     def as_dict(self) -> dict:
-        payload = asdict(self)
-        payload["accuracy_percent"] = self.accuracy_percent()
-        return payload
+        return {**self._asdict(), "accuracy_percent": self.accuracy_percent()}
 
 
 def load_gold(path) -> dict[str, str]:

@@ -50,7 +50,8 @@ only read or write a stem table start without it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .ap import MEDIAN
 from .clusters import Cluster
@@ -70,19 +71,18 @@ _TABLE_ORDERS = (*GRAM_ORDERS, MEDIAN)
 _BLOCK_ENTRIES = 4096
 
 
-@dataclass(frozen=True)
-class GreedyConfig:
-    gram_order: str = BIGRAM
-    threshold: float = 0.06
+class GreedyConfig(namedtuple("GreedyConfig", "gram_order threshold")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, gram_order: str = BIGRAM, threshold: float = 0.06):
+        self = super().__new__(cls, gram_order, threshold)
         gram_set("", self.gram_order)  # refuses an unknown order
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError(f"threshold must lie strictly between 0 and 1, got {self.threshold}")
+        return self
 
 
-@dataclass
-class StemTable:
+class StemTable(NamedTuple):
     """Immutable-after-build word -> stem mapping with its provenance."""
 
     entries: dict[str, str]

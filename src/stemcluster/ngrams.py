@@ -19,8 +19,7 @@ never cluster start without it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ConfigError
 
@@ -79,8 +78,7 @@ def code_points(words) -> tuple[np.ndarray, np.ndarray]:
     return codes, bounds
 
 
-@dataclass(frozen=True)
-class GramIndex:
+class GramIndex(NamedTuple):
     """Distinct-gram profiles of a word list in two compressed-sparse-row forms.
 
     Gram ids number the grams in key order (see ``gram_index``); the gram
@@ -180,9 +178,10 @@ def gram_index(words, order: str = BIGRAM) -> GramIndex:
         owners[by_key[start : start + _BLOCK]] = ids
     grams = owners
     del entries, owners, by_key, ordered
-    # both arrays own their buffers, so each shrinks in place
-    buffer.resize(_compact(buffer, keep))
-    grams.resize(_compact(grams, grams >= 0))
+    # both arrays own their buffers and no view of either is left, so each
+    # shrinks in place; unchecked, as a profiler's hook may hold a reference
+    buffer.resize(_compact(buffer, keep), refcheck=False)
+    grams.resize(_compact(grams, grams >= 0), refcheck=False)
     postings = buffer
     # the word bounds and entry counts, allocated first, take the rows' bounds and sizes
     word_starts, sizes = bounds, counts

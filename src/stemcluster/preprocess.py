@@ -21,7 +21,7 @@ split on LF alone a CRLF file would leave a CR on every line.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from pathlib import Path
 
 from .errors import FormatError, InputEncodingError
@@ -31,7 +31,7 @@ _JOINERS = re.compile("[‌‍]")
 _KEPT = "ঀ-৥ৰ-৿"
 _DROP_RUNS = re.compile(f"[^{_KEPT}]+")
 _TOKENS = re.compile(f"[{_KEPT}]+")
-_STATS_LINE = re.compile(r"#stats total=([0-9]+) unique=([0-9]+)\s*$")
+_STATS_LINE = re.compile(r"#stats total=([0-9]+) unique=([0-9]+)")
 
 
 def lexicon_sort_key(word: str) -> tuple[int, str]:
@@ -39,24 +39,23 @@ def lexicon_sort_key(word: str) -> tuple[int, str]:
     return (len(word), word)
 
 
-@dataclass(frozen=True)
-class Lexicon:
+class Lexicon(namedtuple("Lexicon", "words total_tokens")):
     """Ordered, deduplicated word list plus the raw token count.
 
     ``words`` is strictly ascending under :func:`lexicon_sort_key`, which
     both enforces uniqueness and pins the deterministic processing order
     the clustering backends rely on.  Words have two or more characters,
-    no whitespace and no leading '#', which marks a comment line.  A word
+    no whitespace, and neither a leading '#', which marks a comment line,
+    nor a leading U+FEFF, which readers drop as a byte-order mark.  A word
     breaking a rule raises ``FormatError`` with ``line`` set to its index
-    in ``words``.
+    in ``words``.  ``len(lexicon)`` is 2, the named tuple's field count.
     """
 
-    words: tuple[str, ...]
-    total_tokens: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "words", tuple(self.words))
-        if self.unique_tokens > self.total_tokens:
+    def __new__(cls, words: tuple[str, ...], total_tokens: int):
+        self = super().__new__(cls, tuple(words), total_tokens)
+        if self.unique_tokens > total_tokens:
             raise ValueError("unique_tokens cannot exceed total_tokens")
         previous = None
         for index, word in enumerate(self.words):
@@ -66,6 +65,8 @@ class Lexicon:
                 raise FormatError(f"word {word!r} contains whitespace", line=index)
             if word.startswith("#"):
                 raise FormatError(f"word {word!r} starts with '#', a comment mark", line=index)
+            if word.startswith("\ufeff"):
+                raise FormatError(f"word {word!r} starts with a byte-order mark", line=index)
             key = lexicon_sort_key(word)
             if previous is not None and key <= previous:
                 raise FormatError(
@@ -73,6 +74,7 @@ class Lexicon:
                     line=index,
                 )
             previous = key
+        return self
 
     @property
     def unique_tokens(self) -> int:
@@ -184,7 +186,7 @@ def read_lexicon(path) -> Lexicon:
             continue
         if line.startswith("#"):
             if line.split(maxsplit=1)[0] == "#stats":
-                match = _STATS_LINE.match(line)
+                match = _STATS_LINE.fullmatch(line)
                 if match is None or stats is not None:
                     what = "second #stats line" if match else "expected '#stats total=N unique=M'"
                     raise FormatError(f"{what}, got {line!r}", path=path, line=lineno)

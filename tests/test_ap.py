@@ -257,10 +257,11 @@ class TestBuildSimilarityMatrix:
         # np.median imports numpy.ma on its first call, about 0.13 n^2 x 8 B
         # here; one untraced build keeps that out of the measurement
         build_similarity_matrix(synthetic_lexicon(3, seed=3), mode)
+        default = APConfig().preference
         peaks = {}
         tracemalloc.start()
         try:
-            for preference in (0.0, APConfig.preference):
+            for preference in (0.0, default):
                 tracemalloc.reset_peak()
                 start = tracemalloc.get_traced_memory()[0]
                 build_similarity_matrix(lex, mode, APConfig(preference=preference))
@@ -268,7 +269,7 @@ class TestBuildSimilarityMatrix:
         finally:
             tracemalloc.stop()
         assert peaks[0.0] <= 1.15
-        assert peaks[APConfig.preference] <= 2.1
+        assert peaks[default] <= 2.1
 
     def test_symmetry_exhaustive(self):
         rng = random.Random(7)

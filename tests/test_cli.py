@@ -17,8 +17,9 @@ from stemcluster.cli import main
 from stemcluster.greedy import read_stem_table, stem_word
 from stemcluster.clusters import read_cluster_report
 from stemcluster.evaluation import report_stats
+from stemcluster.preprocess import write_lexicon
 
-from helpers import src_env
+from helpers import src_env, synthetic_lexicon
 
 
 def run_cli(*argv):
@@ -724,9 +725,9 @@ class TestReaderFuzz:
 # whether numpy and statistics have been imported; only clustering needs
 # numpy, and no command needs statistics.
 _NUMPY_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 def heavy():
-    return ["numpy" in sys.modules, "statistics" in sys.modules]
+    return [name in sys.modules for name in ("numpy", "statistics", "dataclasses", "json")]
 import stemcluster
 loaded = [("import stemcluster", *heavy())]
 from stemcluster.cli import main
@@ -752,7 +753,21 @@ for name, argv, stdin in steps:
             code = exc.code
     assert code == (1 if name == "train refused" else 0), (name, code)
     loaded.append((name, *heavy()))
+import json
 print(json.dumps(loaded))
+"""
+
+
+_MEMORY_PROBE = """
+import resource, sys
+import numpy
+from stemcluster.cli import main
+extra, lexicon, workdir = float(sys.argv[1]), sys.argv[2], sys.argv[3]
+with open("/proc/self/status") as status:
+    size = next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmSize:"))
+resource.setrlimit(resource.RLIMIT_AS, (size + int(extra), resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.exit(main(["train", lexicon, "--backend", "ap-coeff", "--max-iter", "2",
+               "--stem-table", workdir + "/t.tsv", "--report", workdir + "/r.json"]))
 """
 
 
@@ -783,18 +798,54 @@ class TestEntryPoint:
             capture_output=True, text=True, env=src_env(),
         )
         assert proc.returncode == 0, proc.stderr
+        # per step: numpy, statistics, dataclasses and json loaded; no class
+        # is generated at import, and json is loaded by the first command
+        # that reads or writes it
         assert json.loads(proc.stdout) == [
-            ["import stemcluster", False, False],
-            ["--help", False, False],
-            ["preprocess", False, False],
-            ["evaluate", False, False],
-            ["stem words", False, False],
-            ["stem stdin", False, False],
+            ["import stemcluster", False, False, False, False],
+            ["--help", False, False, False, False],
+            ["preprocess", False, False, False, False],
+            ["evaluate", False, False, False, True],
+            ["stem words", False, False, False, True],
+            ["stem stdin", False, False, False, True],
             # the size guard refuses the run before numpy is imported
-            ["train refused", False, False],
+            ["train refused", False, False, False, True],
             # the probe does see numpy once a command needs it
-            ["train greedy", True, False],
+            ["train greedy", True, False, False, True],
         ]
+
+    def test_train_runs_under_a_profiler(self, tmp_path, demo_expected_dir):
+        # a profiler holds a reference to each array method it sees called
+        table = tmp_path / "t.tsv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "cProfile", "-o", str(tmp_path / "profile.out"),
+             "-m", "stemcluster", "train", str(demo_expected_dir / "lexicon.txt"),
+             "--stem-table", str(table), "--report", str(tmp_path / "r.json")],
+            capture_output=True, text=True, env=src_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert table.read_bytes() == (demo_expected_dir / "greedy_stems.tsv").read_bytes()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    @pytest.mark.parametrize("budget", [1.5, 2.5])
+    def test_ap_out_of_memory_is_one_error_line(self, tmp_path, budget):
+        # the child caps its own address space at its size plus ``budget`` x
+        # n^2 x 8 B: 1.5 fails in the median preference's copy, 2.5 in
+        # message passing
+        n = 3000
+        lexicon = tmp_path / "lexicon.txt"
+        write_lexicon(synthetic_lexicon(n, seed=3), lexicon)
+        proc = subprocess.run(
+            [sys.executable, "-c", _MEMORY_PROBE, str(budget * n * n * 8), str(lexicon),
+             str(tmp_path)],
+            capture_output=True, text=True, env={**src_env(), "OPENBLAS_NUM_THREADS": "1"},
+            timeout=300,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == (
+            f"error: out of memory: affinity propagation over {n} words would peak near "
+            f"0.2 GiB (3.5 x n^2 x 8 B)\n"
+        )
 
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -32,7 +32,8 @@ from stemcluster.preprocess import Lexicon, lexicon_sort_key, read_lines, write_
 from helpers import BANGLA_LETTERS
 
 # '#' may stand inside a word but not at its start, where it marks a comment;
-# U+FEFF is left out because one leading byte-order mark is dropped by design
+# U+FEFF is left out: one leading byte-order mark is dropped by design, so no
+# lexicon word may start with it
 words = st.text(
     alphabet=st.sampled_from(BANGLA_LETTERS + string.ascii_letters + "#"), min_size=2, max_size=6
 ).filter(lambda word: not word.startswith("#"))

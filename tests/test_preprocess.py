@@ -177,6 +177,18 @@ class TestLexiconType:
         assert err.value.line == 2
         assert Lexicon(words=("a#", "b#c"), total_tokens=2).words == ("a#", "b#c")
 
+    def test_rejects_word_starting_with_byte_order_mark(self, tmp_path):
+        # every reader drops one leading U+FEFF, so such a word would come back without it
+        with pytest.raises(FormatError, match="byte-order mark") as err:
+            Lexicon(words=("ab", "\ufeffab"), total_tokens=2)
+        assert err.value.line == 1
+        assert Lexicon(words=("a\ufeff",), total_tokens=1).words == ("a\ufeff",)
+        path = tmp_path / "lex.txt"
+        path.write_bytes(codecs.BOM_UTF8 * 2 + "ab\n".encode("utf-8"))
+        with pytest.raises(FormatError, match="byte-order mark") as err:
+            read_lexicon(path)
+        assert err.value.line == 1
+
 
 class TestLexiconFiles:
     def test_round_trip(self, tmp_path):
@@ -250,6 +262,8 @@ class TestLexiconFiles:
             "#stats total=five unique=2",
             "#stats\ttotal=5 unique=2",
             "#stats total=১০ unique=২",
+            "#stats total=5 unique=2  ",
+            "#stats total=5 unique=2\u3000",
         ],
     )
     def test_rejects_malformed_stats_line(self, tmp_path, line):
