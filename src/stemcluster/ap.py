@@ -4,16 +4,17 @@ Works on a dense, symmetric word-pair similarity matrix built in one of
 two modes: ``coefficient`` (dice over pooled bigram+trigram profiles,
 values in [0, 1]) or ``median`` (negated median character-offset
 distance, values in [-200, 0]).  The diagonal carries the preference;
-higher preferences buy more clusters.  The per-mode range check and the
-median preference both read ``SimilarityMatrix.off_diagonal``, a view.
-The symmetry and range checks read rows in blocks of ``_BLOCK_BYTES``,
-so they add no n x n temporary.
+higher preferences buy more clusters.  The per-mode range check reads
+``SimilarityMatrix.off_diagonal``, a view.  The symmetry and range checks
+read rows in blocks of ``_BLOCK_BYTES``, so they add no n x n temporary.
+The median preference partitions a copy of the upper triangle.
 
 Each mode is a generator that yields, for every word i, its similarities
 to the words after it.  One loop writes each such row into a float64
 n x n matrix and mirrors it below the diagonal, so a build holds the
-matrix plus one row's temporaries, whatever the mode.  The diagonal stays
-0 until the preference is written there.
+matrix plus one row's temporaries, whatever the mode, and one n(n-1)/2
+buffer for the median preference.  The diagonal stays 0 until the
+preference is written there.
 
 A coefficient row counts the grams word i shares with each later word as
 the number of times that word appears in the posting lists of i's grams;
@@ -226,9 +227,29 @@ def build_similarity_matrix(
     matrix = SimilarityMatrix(words=words, s=s, mode=mode)
     preference = cfg.preference
     if preference == MEDIAN_PREFERENCE:
-        preference = np.median(matrix.off_diagonal())
+        preference = _median_preference(matrix.s)
     np.fill_diagonal(matrix.s, preference)
     return matrix
+
+
+def _median_preference(s: np.ndarray) -> float:
+    """``np.median`` of the off-diagonal of the symmetric ``s``, from its upper triangle.
+
+    Each off-diagonal value occurs twice, so the off-diagonal's two middle
+    values are the upper triangle's ranks (m-1)//2 and m//2, m = n(n-1)/2.
+    """
+    import numpy as np
+
+    n = len(s)
+    m = n * (n - 1) // 2
+    upper = np.empty(m)
+    start = 0
+    for i in range(n - 1):
+        upper[start : start + n - 1 - i] = s[i, i + 1 :]
+        start += n - 1 - i
+    middle = [(m - 1) // 2, m // 2]
+    upper.partition(middle)
+    return upper[middle].mean()
 
 
 def _coefficient_rows(words) -> Iterator[np.ndarray]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import FormatError
-from .preprocess import lexicon_sort_key, read_text, write_lines
+from .preprocess import lexicon_sort_key, open_for_writing, read_text
 
 
 def select_stem(members) -> str:
@@ -45,6 +45,7 @@ def write_cluster_report(
     exemplar-based backend supplies its exemplars (and with them its
     mode, converged and iterations), each entry gains its exemplar and the
     array is wrapped in an object carrying {mode, converged, iterations}.
+    The JSON is written as it is encoded, so its text is never held whole.
     """
     import json
     entries = [{"stem": c.stem, "members": list(c.members)} for c in clusters]
@@ -59,7 +60,9 @@ def write_cluster_report(
             "iterations": iterations,
             "clusters": entries,
         }
-    write_lines(path, [json.dumps(payload, ensure_ascii=False, indent=2)])
+    with open_for_writing(path) as file:
+        json.dump(payload, file, ensure_ascii=False, indent=2)
+        file.write("\n")
 
 
 def read_cluster_report(path) -> tuple[list[Cluster], dict]:

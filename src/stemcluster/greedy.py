@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
+from itertools import chain
 from typing import NamedTuple
 
 from .ap import MEDIAN
@@ -186,10 +187,11 @@ def stem_word(table: StemTable, word: str) -> str:
 
 def write_stem_table(table: StemTable, path) -> None:
     """TSV rows sorted by word under a `#stemcluster v1` header, LF, UTF-8."""
-    threshold = "-" if table.threshold is None else repr(table.threshold)
-    lines = [f"{_TABLE_MAGIC} order={table.order} threshold={threshold}"]
-    lines.extend(f"{word}\t{table.entries[word]}" for word in sorted(table.entries))
-    write_lines(path, lines)
+    # a numpy float's repr names its type, which the header reader refuses
+    threshold = "-" if table.threshold is None else repr(float(table.threshold))
+    header = f"{_TABLE_MAGIC} order={table.order} threshold={threshold}"
+    entries = table.entries
+    write_lines(path, chain([header], (f"{word}\t{entries[word]}" for word in sorted(entries))))
 
 
 def read_stem_table(path) -> StemTable:

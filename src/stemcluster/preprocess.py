@@ -15,13 +15,16 @@ and the stem-table lookup both call it.
 
 Every line file goes through ``read_lines`` and ``write_lines``: UTF-8,
 LF-ended lines, and a file holding a carriage return is refused, since
-split on LF alone a CRLF file would leave a CR on every line.
+split on LF alone a CRLF file would leave a CR on every line.  Writers
+open their target through ``open_for_writing`` and write as they format.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from collections import namedtuple
+from itertools import chain, islice
 from pathlib import Path
 
 from .errors import FormatError, InputEncodingError
@@ -32,6 +35,8 @@ _KEPT = "ঀ-৥ৰ-৿"
 _DROP_RUNS = re.compile(f"[^{_KEPT}]+")
 _TOKENS = re.compile(f"[{_KEPT}]+")
 _STATS_LINE = re.compile(r"#stats total=([0-9]+) unique=([0-9]+)")
+# lines write_lines joins into one write
+_WRITE_CHUNK = 4096
 
 
 def lexicon_sort_key(word: str) -> tuple[int, str]:
@@ -48,14 +53,16 @@ class Lexicon(namedtuple("Lexicon", "words total_tokens")):
     no whitespace, and neither a leading '#', which marks a comment line,
     nor a leading U+FEFF, which readers drop as a byte-order mark.  A word
     breaking a rule raises ``FormatError`` with ``line`` set to its index
-    in ``words``.  ``len(lexicon)`` is 2, the named tuple's field count.
+    in ``words``.  ``total_tokens`` is stored as ``operator.index`` gives
+    it, so a float is a ``TypeError`` and a bool or numpy integer an int.
+    ``len(lexicon)`` is 2, the named tuple's field count.
     """
 
     __slots__ = ()
 
     def __new__(cls, words: tuple[str, ...], total_tokens: int):
-        self = super().__new__(cls, tuple(words), total_tokens)
-        if self.unique_tokens > total_tokens:
+        self = super().__new__(cls, tuple(words), operator.index(total_tokens))
+        if self.unique_tokens > self.total_tokens:
             raise ValueError("unique_tokens cannot exceed total_tokens")
         previous = None
         for index, word in enumerate(self.words):
@@ -131,12 +138,23 @@ def read_lines(path) -> list[str]:
     return text.split("\n")
 
 
-def write_lines(path, lines: list[str]) -> None:
-    """Write ``lines`` as UTF-8, each ended by LF; no lines make an empty file."""
-    text = "\n".join(lines)
-    if lines:
-        text += "\n"
-    Path(path).write_bytes(text.encode("utf-8"))
+def open_for_writing(path):
+    """``path`` opened for text as UTF-8 with no newline translation, truncated."""
+    return open(path, "w", encoding="utf-8", newline="")
+
+
+def write_lines(path, lines) -> None:
+    """Write the iterable ``lines`` as UTF-8, each ended by LF; no lines make an empty file.
+
+    Lines are written as they come, ``_WRITE_CHUNK`` at a time, so the file
+    is never held whole.  The target is truncated first: a write that fails
+    midway, on a full disk or an unencodable line, leaves a partial file.
+    """
+    lines = iter(lines)
+    with open_for_writing(path) as file:
+        while chunk := list(islice(lines, _WRITE_CHUNK)):
+            file.write("\n".join(chunk))
+            file.write("\n")
 
 
 def parse_word_pairs(lines: list[str], value: str, path) -> dict[str, str]:
@@ -164,11 +182,8 @@ def parse_word_pairs(lines: list[str], value: str, path) -> dict[str, str]:
 
 def write_lexicon(lexicon: Lexicon, path, stats: bool = False) -> None:
     """One word per line in lexicon order, LF endings, optional stats header."""
-    lines = []
-    if stats:
-        lines.append(f"#stats total={lexicon.total_tokens} unique={lexicon.unique_tokens}")
-    lines.extend(lexicon.words)
-    write_lines(path, lines)
+    header = f"#stats total={lexicon.total_tokens} unique={lexicon.unique_tokens}"
+    write_lines(path, chain([header] if stats else [], lexicon.words))
 
 
 def read_lexicon(path) -> Lexicon:

@@ -77,6 +77,19 @@ def matrix_from(s, mode=COEFFICIENT):
     return SimilarityMatrix(words=tuple(f"w{i:02d}" for i in range(n)), s=s, mode=mode)
 
 
+# Trains both AP backends with the default preference, then prints their
+# exit codes and whether numpy.ma was loaded.
+_MA_PROBE = """
+import sys
+from stemcluster.cli import main
+lexicon, workdir = sys.argv[1:]
+codes = [main(["train", lexicon, "--backend", backend, "--max-iter", "5",
+               "--stem-table", workdir + "/t.tsv", "--report", workdir + "/r.json"])
+         for backend in ("ap-coeff", "ap-median")]
+print(codes, "numpy.ma" in sys.modules)
+"""
+
+
 class TestConfig:
     def test_defaults(self):
         cfg = APConfig()
@@ -251,12 +264,9 @@ class TestBuildSimilarityMatrix:
     def test_build_peak_is_the_matrix_and_one_row(self, mode):
         # rows are written as they come and checked in row blocks, so a build
         # holds the matrix plus row temporaries; the median preference adds
-        # np.median's copy
+        # the upper triangle's copy, 0.5 n^2 x 8 B
         n = 1000
         lex = synthetic_lexicon(n, seed=3)
-        # np.median imports numpy.ma on its first call, about 0.13 n^2 x 8 B
-        # here; one untraced build keeps that out of the measurement
-        build_similarity_matrix(synthetic_lexicon(3, seed=3), mode)
         default = APConfig().preference
         peaks = {}
         tracemalloc.start()
@@ -269,7 +279,33 @@ class TestBuildSimilarityMatrix:
         finally:
             tracemalloc.stop()
         assert peaks[0.0] <= 1.15
-        assert peaks[default] <= 2.1
+        assert peaks[default] <= 1.6
+
+    @given(n=st.integers(2, 9), data=st.data())
+    def test_median_preference_is_the_off_diagonal_median(self, n, data):
+        # n(n-1)/2 upper values, odd or even in number; few values, so ties
+        # are common, and both signs of zero
+        m = n * (n - 1) // 2
+        values = st.sampled_from([-0.0, 0.0, 0.25, 1.0, -3.5, -200.0])
+        upper = data.draw(st.lists(values, min_size=m, max_size=m))
+        s = np.zeros((n, n))
+        s[np.triu_indices(n, 1)] = upper
+        s.T[np.triu_indices(n, 1)] = upper
+        np.fill_diagonal(s, 7.0)  # not read
+        expected = np.median(s[~np.eye(n, dtype=bool)])
+        # by value: the sign of a zero may differ, which no cluster can see
+        assert ap._median_preference(s) == expected
+
+    def test_default_preference_leaves_numpy_ma_unloaded(self, tmp_path):
+        # np.median imports numpy.ma on its first call
+        lexicon = tmp_path / "lexicon.txt"
+        write_lexicon(synthetic_lexicon(40, seed=3), lexicon)
+        proc = subprocess.run(
+            [sys.executable, "-c", _MA_PROBE, str(lexicon), str(tmp_path)],
+            capture_output=True, text=True, encoding="utf-8", env=src_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[0, 0] False"
 
     def test_symmetry_exhaustive(self):
         rng = random.Random(7)
@@ -312,7 +348,7 @@ class TestBuildSimilarityMatrix:
                        "--report", str(tmp_path / "report.json")]
             proc = subprocess.run(
                 [sys.executable, "-c", _PEAK_PROBE, *command],
-                capture_output=True, text=True, env=src_env(), timeout=300,
+                capture_output=True, text=True, encoding="utf-8", env=src_env(), timeout=300,
             )
             assert proc.returncode == 0, proc.stderr
             code, max_rss_kib = proc.stdout.split()[-2:]

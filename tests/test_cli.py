@@ -131,6 +131,17 @@ class TestTrain:
         )
         assert capsys.readouterr().out == "clusters=11 reduction_ratio=0.2292\n"
 
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    @pytest.mark.parametrize("artifact", ["--stem-table", "--report"])
+    def test_full_disk_is_one_error_line(self, tmp_path, demo_expected_dir, capsys, artifact):
+        # artifacts are written as they are formatted, so the failing write
+        # comes midway; it must still end in one line
+        paths = {"--stem-table": str(tmp_path / "t.tsv"), "--report": str(tmp_path / "r.json")}
+        paths[artifact] = "/dev/full"
+        lexicon = str(demo_expected_dir / "lexicon.txt")
+        assert run_cli("train", lexicon, *itertools.chain(*paths.items())) == 1
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+
     def test_stem_table_round_trips(self, trained):
         table = read_stem_table(trained["table"])
         assert len(table.entries) == 48
@@ -343,7 +354,7 @@ class TestUsageErrors:
     def test_module_usage_error_is_one_error_line(self):
         proc = subprocess.run(
             [sys.executable, "-m", "stemcluster", "train"],
-            capture_output=True, text=True, env=src_env(),
+            capture_output=True, text=True, encoding="utf-8", env=src_env(),
         )
         assert proc.returncode == 2
         assert proc.stderr == "error: the following arguments are required: LEXICON\n"
@@ -763,7 +774,7 @@ import resource, sys
 import numpy
 from stemcluster.cli import main
 extra, lexicon, workdir = float(sys.argv[1]), sys.argv[2], sys.argv[3]
-with open("/proc/self/status") as status:
+with open("/proc/self/status", encoding="ascii") as status:
     size = next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmSize:"))
 resource.setrlimit(resource.RLIMIT_AS, (size + int(extra), resource.getrlimit(resource.RLIMIT_AS)[1]))
 sys.exit(main(["train", lexicon, "--backend", "ap-coeff", "--max-iter", "2",
@@ -777,7 +788,7 @@ class TestThresholdSweep:
         proc = subprocess.run(
             [sys.executable, str(script), str(demo_expected_dir / "lexicon.txt"),
              "--gold", str(demo_gold)],
-            capture_output=True, text=True, env=src_env(), timeout=120,
+            capture_output=True, text=True, encoding="utf-8", env=src_env(), timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         rows = {fields[0]: fields[1:] for fields in map(str.split, proc.stdout.splitlines()[1:])}
@@ -795,7 +806,7 @@ class TestEntryPoint:
             [sys.executable, "-c", _NUMPY_PROBE, str(demo_corpus), str(demo_gold),
              str(demo_expected_dir / "greedy_report.json"),
              str(demo_expected_dir / "greedy_stems.tsv"), str(tmp_path)],
-            capture_output=True, text=True, env=src_env(),
+            capture_output=True, text=True, encoding="utf-8", env=src_env(),
         )
         assert proc.returncode == 0, proc.stderr
         # per step: numpy, statistics, dataclasses and json loaded; no class
@@ -821,7 +832,7 @@ class TestEntryPoint:
             [sys.executable, "-m", "cProfile", "-o", str(tmp_path / "profile.out"),
              "-m", "stemcluster", "train", str(demo_expected_dir / "lexicon.txt"),
              "--stem-table", str(table), "--report", str(tmp_path / "r.json")],
-            capture_output=True, text=True, env=src_env(), timeout=120,
+            capture_output=True, text=True, encoding="utf-8", env=src_env(), timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         assert table.read_bytes() == (demo_expected_dir / "greedy_stems.tsv").read_bytes()
@@ -838,7 +849,8 @@ class TestEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-c", _MEMORY_PROBE, str(budget * n * n * 8), str(lexicon),
              str(tmp_path)],
-            capture_output=True, text=True, env={**src_env(), "OPENBLAS_NUM_THREADS": "1"},
+            capture_output=True, text=True, encoding="utf-8",
+            env={**src_env(), "OPENBLAS_NUM_THREADS": "1"},
             timeout=300,
         )
         assert proc.returncode == 1, proc.stderr
@@ -852,6 +864,7 @@ class TestEntryPoint:
             [sys.executable, "-m", "stemcluster", "--help"],
             capture_output=True,
             text=True,
+            encoding="utf-8",
         )
         assert proc.returncode == 0
         for command in ("preprocess", "train", "stem", "evaluate"):

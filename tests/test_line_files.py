@@ -2,14 +2,17 @@
 
 Lexicons, stem tables and gold files are read through ``read_lines`` (UTF-8
 less one leading byte-order mark, a carriage return refused at its line,
-split on LF); lexicons, stem tables and cluster reports are written through
-``write_lines``.
+split on LF); lexicons and stem tables are written through ``write_lines``,
+and cluster reports through the same ``open_for_writing``.  Writers write
+as they format, so none holds its file's text whole.
 """
 
 import codecs
 import json
 import string
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -25,11 +28,11 @@ from stemcluster import (
 from stemcluster.ap import COEFFICIENT, MEDIAN
 from stemcluster.clusters import Cluster
 from stemcluster.errors import FormatError
-from stemcluster.greedy import StemTable
+from stemcluster.greedy import StemTable, stem_table_from_clusters
 from stemcluster.ngrams import GRAM_ORDERS
-from stemcluster.preprocess import Lexicon, lexicon_sort_key, read_lines, write_lines
+from stemcluster.preprocess import _WRITE_CHUNK, Lexicon, lexicon_sort_key, read_lines, write_lines
 
-from helpers import BANGLA_LETTERS
+from helpers import BANGLA_LETTERS, synthetic_lexicon
 
 # '#' may stand inside a word but not at its start, where it marks a comment;
 # U+FEFF is left out: one leading byte-order mark is dropped by design, so no
@@ -40,8 +43,8 @@ words = st.text(
 
 
 @st.composite
-def partitions(draw):
-    """Clusters over distinct words, each with a stem drawn from its members."""
+def partitions(draw, words=words):
+    """Clusters over distinct ``words``, each with a stem drawn from its members."""
     pool = draw(st.lists(words, unique=True, max_size=12))
     clusters = []
     while pool:
@@ -63,6 +66,18 @@ def test_write_lines_then_read_lines(tmp_path_factory, lines):
     assert data == "".join(line + "\n" for line in lines).encode("utf-8")
     if not data.startswith(codecs.BOM_UTF8):
         assert read_lines(path) == [*lines, ""]
+
+
+@pytest.mark.parametrize(
+    "count", [0, 1, _WRITE_CHUNK - 1, _WRITE_CHUNK, _WRITE_CHUNK + 1, 2 * _WRITE_CHUNK + 1]
+)
+def test_write_lines_is_one_join_whatever_the_chunks(tmp_path, count):
+    lines = [f"line {i} কখ" for i in range(count)]
+    expected = ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
+    write_lines(tmp_path / "list.txt", lines)
+    assert (tmp_path / "list.txt").read_bytes() == expected
+    write_lines(tmp_path / "generator.txt", (line for line in lines))
+    assert (tmp_path / "generator.txt").read_bytes() == expected
 
 
 @given(pool=st.lists(words, unique=True, max_size=12), extra=st.integers(0, 5), stats=st.booleans())
@@ -87,6 +102,79 @@ def test_stem_table_round_trip(tmp_path_factory, entries, order, threshold):
     path = tmp_path_factory.getbasetemp() / "table.tsv"
     write_stem_table(table, path)
     assert read_stem_table(path) == table
+
+
+@pytest.mark.parametrize("threshold", [np.float64(0.06), np.float32(0.06)])
+def test_stem_table_round_trip_with_a_numpy_threshold(tmp_path, threshold):
+    table = StemTable(entries={"কখগ": "কখ"}, order="2", threshold=threshold)
+    path = tmp_path / "table.tsv"
+    write_stem_table(table, path)
+    assert read_lines(path)[0] == f"#stemcluster v1 order=2 threshold={float(threshold)!r}"
+    loaded = read_stem_table(path)
+    assert loaded.threshold == float(threshold)
+    assert loaded.entries == table.entries
+
+
+# any text JSON must escape or may pass through: quotes, backslashes,
+# control characters and astral code points; no surrogate, which UTF-8
+# cannot encode
+json_words = st.text(
+    alphabet=st.sampled_from('"\\/\x00\x1f\x7f\u2028\U0001f600কখ')
+    | st.characters(exclude_categories=("Cs",)),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(
+    clusters=partitions(json_words),
+    exemplar_run=st.booleans(),
+    mode=st.sampled_from([COEFFICIENT, MEDIAN]),
+    converged=st.booleans(),
+    iterations=st.integers(0, 10_000),
+    data=st.data(),
+)
+def test_streamed_report_is_the_indented_json_text(
+    tmp_path_factory, clusters, exemplar_run, mode, converged, iterations, data
+):
+    path = tmp_path_factory.getbasetemp() / "report.json"
+    entries = [{"stem": c.stem, "members": list(c.members)} for c in clusters]
+    if exemplar_run:
+        exemplars = [data.draw(st.sampled_from(cluster.members)) for cluster in clusters]
+        for entry, exemplar in zip(entries, exemplars):
+            entry["exemplar"] = exemplar
+        payload = {"mode": mode, "converged": converged, "iterations": iterations,
+                   "clusters": entries}
+        write_cluster_report(path, clusters, exemplars=exemplars, mode=mode,
+                             converged=converged, iterations=iterations)
+    else:
+        payload = entries
+        write_cluster_report(path, clusters)
+    expected = json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+def test_writers_do_not_hold_their_file_whole(tmp_path):
+    # a 16 000-word partition: the report's text is about 0.7 MB and the
+    # table's 0.65 MB; formatted whole and then encoded, they would peak
+    # near 5.7 and 2.8 MiB of traced memory
+    words = synthetic_lexicon(16_000, seed=3).words
+    clusters = [Cluster(stem=words[i], members=words[i : i + 4]) for i in range(0, len(words), 4)]
+    table = stem_table_from_clusters(clusters, order="2", threshold=0.6)
+    writers = {
+        "report": (lambda: write_cluster_report(tmp_path / "report.json", clusters), 2.5),
+        "table": (lambda: write_stem_table(table, tmp_path / "table.tsv"), 1.75),
+    }
+    for name, (write, bound_mib) in writers.items():
+        write()  # once untraced, so nothing lazily loaded is counted
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            write()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mib * 2**20, name
 
 
 @given(clusters=partitions())

@@ -1,5 +1,6 @@
 import codecs
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -169,6 +170,22 @@ class TestLexiconType:
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
             Lexicon(words=("কখ",), total_tokens=0)
+
+    @pytest.mark.parametrize("total", [1.5, 2.0])
+    def test_rejects_a_float_token_count(self, total):
+        # the #stats line reader takes digits only, so a float count could not be read back
+        with pytest.raises(TypeError):
+            Lexicon(words=("কখ",), total_tokens=total)
+
+    @pytest.mark.parametrize("total", [True, np.int64(3), np.uint8(3)])
+    def test_integer_token_count_is_stored_as_int(self, tmp_path, total):
+        lexicon = Lexicon(words=("কখ",), total_tokens=total)
+        assert type(lexicon.total_tokens) is int
+        assert lexicon.total_tokens == int(total)
+        path = tmp_path / "lex.txt"
+        write_lexicon(lexicon, path, stats=True)
+        assert path.read_text(encoding="utf-8") == f"#stats total={int(total)} unique=1\nকখ\n"
+        assert read_lexicon(path) == lexicon
 
     def test_rejects_word_starting_with_comment_mark(self):
         # every line reader skips '#' lines, so such a word could not be read back
