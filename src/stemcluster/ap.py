@@ -50,8 +50,8 @@ then availabilities
     a(k,k) <- sum_{i' != k} max(0, r(i',k))
 
 each blended as damping*old + (1-damping)*new.  Iteration stops once the
-exemplar set {k : r(k,k) + a(k,k) > 0} has been stable for a window of
-15 iterations, or at the iteration cap.
+exemplar set {k : r(k,k) + a(k,k) > 0} has been stable for
+``_CONVERGENCE_WINDOW`` iterations, or at the ``APConfig`` iteration cap.
 
 ``message_passing`` reads S and allocates R, A and one (B+1) x n
 scratch once, before the loop; B is the number of rows that fit in
@@ -120,6 +120,9 @@ _TIE_BREAK = 1e-12
 # message passing works on blocks of rows about this many bytes wide, so a
 # block stays in cache across the several passes each update makes over it
 _BLOCK_BYTES = 1 << 19
+# message passing converges once a non-empty exemplar set stays the same for
+# this many iterations
+_CONVERGENCE_WINDOW = 15
 
 # process peak of an AP run in units of n^2 * 8 B: the matrix, R and A, plus
 # the block scratch.  Peak RSS over a 2-word run, `train --max-iter 10` on
@@ -204,7 +207,7 @@ def estimated_peak(n: int) -> str:
 
 
 def build_similarity_matrix(
-    lexicon: Lexicon, mode: str = COEFFICIENT, config: APConfig | None = None
+    lexicon: Lexicon, mode: str, config: APConfig | None = None
 ) -> SimilarityMatrix:
     """Dense symmetric similarities with the preference on the diagonal."""
     cfg = config or APConfig()
@@ -318,19 +321,13 @@ _MODES = {
     MEDIAN: (_median_rows, (-FAR_DISTANCE, 0.0)),
 }
 MODES = tuple(_MODES)
-_DEFAULTS = APConfig()
 
 
-def message_passing(
-    S: np.ndarray,
-    damping: float = _DEFAULTS.damping,
-    max_iterations: int = _DEFAULTS.max_iterations,
-    convergence_window: int = 15,
-) -> tuple[np.ndarray, np.ndarray, int, bool]:
+def message_passing(S: np.ndarray, config: APConfig) -> tuple[np.ndarray, np.ndarray, int, bool]:
     """Iterate the damped updates on a raw similarity matrix.
 
     Returns (R, A, iterations run, converged).  Convergence means a
-    non-empty exemplar set unchanged over ``convergence_window``
+    non-empty exemplar set unchanged over ``_CONVERGENCE_WINDOW``
     consecutive iterations.  S is only read.
     """
     import numpy as np
@@ -353,11 +350,12 @@ def message_passing(
         hi = min(lo + size, n)
         local = np.arange(hi - lo)
         blocks.append((slice(lo, hi), local, local * (n + 1) + lo))
+    damping = config.damping
     previous: tuple[int, ...] | None = None
     stable = 0
     converged = False
     iteration = 0
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, config.max_iterations + 1):
         fold_from = 1  # the first block has no running sums to fold into
         for block, local, diagonal in blocks:
             b = len(local)
@@ -405,7 +403,7 @@ def message_passing(
         else:
             stable = 0
         previous = exemplars
-        if exemplars and stable >= convergence_window - 1:
+        if exemplars and stable >= _CONVERGENCE_WINDOW - 1:
             converged = True
             break
     return R, A, iteration, converged
@@ -428,7 +426,7 @@ def run_ap(matrix: SimilarityMatrix, config: APConfig | None = None) -> APResult
     preferences = s.diagonal().copy()
     try:
         s[points, points] -= points * scale * _TIE_BREAK
-        R, A, iterations, converged = message_passing(s, cfg.damping, cfg.max_iterations)
+        R, A, iterations, converged = message_passing(s, cfg)
     finally:
         s[points, points] = preferences
     beliefs = R.diagonal() + A.diagonal()

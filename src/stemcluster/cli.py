@@ -227,11 +227,7 @@ def cmd_evaluate(args) -> int:
     else:
         print(json.dumps(report.as_dict(), ensure_ascii=False, indent=2))
     if args.min_accuracy is not None and report.accuracy < args.min_accuracy:
-        print(
-            f"error: accuracy {report.accuracy:.4f} below required {args.min_accuracy}",
-            file=sys.stderr,
-        )
-        return 1
+        raise StemclusterError(f"accuracy {report.accuracy:.4f} below required {args.min_accuracy}")
     return 0
 
 

@@ -10,9 +10,6 @@ from .preprocess import lexicon_sort_key, open_for_writing, read_text
 
 def select_stem(members) -> str:
     """The smallest member under (code-point length, lexicographic) order."""
-    members = list(members)
-    if not members:
-        raise ValueError("cannot select a stem from an empty member list")
     return min(members, key=lexicon_sort_key)
 
 

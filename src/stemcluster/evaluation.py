@@ -10,6 +10,7 @@ a family that clustered around the "wrong" representative.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import NamedTuple
 
 from .preprocess import parse_word_pairs, read_lines
@@ -68,10 +69,7 @@ def report_stats(clusters) -> dict:
     """Cluster-count summary: sizes histogram and the reduction ratio."""
     clusters = list(clusters)
     unique_tokens = sum(len(cluster.members) for cluster in clusters)
-    histogram: dict[int, int] = {}
-    for cluster in clusters:
-        size = len(cluster.members)
-        histogram[size] = histogram.get(size, 0) + 1
+    histogram = Counter(len(cluster.members) for cluster in clusters)
     ratio = len(clusters) / unique_tokens if unique_tokens > 0 else 0.0
     return {
         "unique_tokens": unique_tokens,

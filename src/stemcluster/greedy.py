@@ -40,8 +40,10 @@ scan's at every budget; a budget of 1 scores the seeds one at a time.
 ``stem_table_from_clusters`` is the one stem-table constructor, for every
 backend; ``stem_word`` and the ``stem`` command look words up through
 ``StemTable.get``, which cleans a query only when it misses as given.
-The table file is written by ``preprocess.write_lines`` and read by
-``preprocess.read_lines``, which refuses a carriage return.
+``StemTable`` checks the order and threshold of its header.  The table
+file is written by ``preprocess.write_lines``, once no row is one the
+reader would refuse or skip, and read by ``preprocess.read_lines``,
+which refuses a carriage return.
 
 numpy is imported inside ``cluster_greedy`` alone, so the commands that
 only read or write a stem table start without it.
@@ -52,13 +54,12 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from itertools import chain
-from typing import NamedTuple
 
 from .ap import MEDIAN
 from .clusters import Cluster
 from .errors import ConfigError, FormatError, PartitionError
 from .ngrams import BIGRAM, GRAM_ORDERS, dice_ratio, gram_index, gram_set
-from .preprocess import Lexicon, parse_word_pairs, read_lines, tokenize, write_lines
+from .preprocess import _WRITE_CHUNK, Lexicon, parse_word_pairs, read_lines, tokenize, write_lines
 
 _TABLE_MAGIC = "#stemcluster v1"
 # the one header form write_stem_table writes
@@ -83,12 +84,18 @@ class GreedyConfig(namedtuple("GreedyConfig", "gram_order threshold")):
         return self
 
 
-class StemTable(NamedTuple):
-    """Immutable-after-build word -> stem mapping with its provenance."""
+class StemTable(namedtuple("StemTable", "entries order threshold")):
+    """Word -> stem mapping under its file's header: an order from ``_TABLE_ORDERS``,
+    and a threshold in ``GreedyConfig``'s range, stored as a ``float``, or None."""
 
-    entries: dict[str, str]
-    order: str
-    threshold: float | None
+    __slots__ = ()
+
+    def __new__(cls, entries: dict[str, str], order: str, threshold: float | None):
+        if order not in _TABLE_ORDERS:
+            raise ConfigError(f"order must be one of {_TABLE_ORDERS}, got {order!r}")
+        if threshold is not None:
+            threshold = float(GreedyConfig(threshold=threshold).threshold)
+        return super().__new__(cls, entries, order, threshold)
 
     def get(self, word: str) -> str | None:
         """Stem of ``word``, else of its one cleaned token; None when unknown.
@@ -185,13 +192,42 @@ def stem_word(table: StemTable, word: str) -> str:
     return word if stem is None else stem
 
 
+def _readable(words, stems) -> bool:
+    """Whether rows of these words and stems read back as they were written.
+
+    The reader refuses an empty field or one holding a TAB, LF or CR, and
+    skips a row whose word starts with '#'.  Each column is searched at C
+    speed as one text joined by LF: a field's own LF shows as one LF too
+    many, and a later word starting with '#' as an LF before a '#'.
+    """
+    for column, marks in ((words, ("\t", "\r", "\n#")), (stems, ("\t", "\r"))):
+        text = "\n".join(column)
+        if "" in column or text.count("\n") != len(column) - 1 or any(m in text for m in marks):
+            return False
+    return not words[0].startswith("#")
+
+
 def write_stem_table(table: StemTable, path) -> None:
-    """TSV rows sorted by word under a `#stemcluster v1` header, LF, UTF-8."""
-    # a numpy float's repr names its type, which the header reader refuses
-    threshold = "-" if table.threshold is None else repr(float(table.threshold))
-    header = f"{_TABLE_MAGIC} order={table.order} threshold={threshold}"
+    """TSV rows sorted by word under a `#stemcluster v1` header, LF, UTF-8.
+
+    A table with a row that ``read_stem_table`` would refuse or skip is
+    refused before the file is opened.
+    """
     entries = table.entries
-    write_lines(path, chain([header], (f"{word}\t{entries[word]}" for word in sorted(entries))))
+    words = sorted(entries)
+    # a chunk of rows at a time, so the check holds no copy of a whole column
+    for start in range(0, len(words), _WRITE_CHUNK):
+        chunk = words[start : start + _WRITE_CHUNK]
+        if not _readable(chunk, list(map(entries.__getitem__, chunk))):
+            word = next(word for word in chunk if not _readable([word], [entries[word]]))
+            raise FormatError(
+                f"cannot write the row {word!r} -> {entries[word]!r}: a word or stem is empty "
+                "or holds a TAB, LF or CR, or a word starts with '#'",
+                path=path,
+            )
+    threshold = "-" if table.threshold is None else repr(table.threshold)
+    header = f"{_TABLE_MAGIC} order={table.order} threshold={threshold}"
+    write_lines(path, chain([header], (f"{word}\t{entries[word]}" for word in words)))
 
 
 def read_stem_table(path) -> StemTable:
@@ -204,16 +240,14 @@ def read_stem_table(path) -> StemTable:
             line=1,
         )
     order, value = header.groups()
-    if order not in _TABLE_ORDERS:
-        raise FormatError(f"order must be one of {_TABLE_ORDERS}, got {order!r}", path=path, line=1)
     try:
-        threshold = None if value == "-" else GreedyConfig(threshold=float(value)).threshold
-    except (ValueError, ConfigError) as exc:
+        table = StemTable({}, order, None if value == "-" else float(value))
+    except ValueError as exc:  # a ConfigError, or a threshold that is no number
         raise FormatError(
-            f"bad threshold value {value!r} ({exc}); '-' is also accepted",
+            f"bad header ({exc}); got order {order!r} and threshold {value!r}, where '-' is none",
             path=path,
             line=1,
         ) from None
     # the header is a '#' line, so the row reader skips it
-    entries = parse_word_pairs(lines, "stem", path)
-    return StemTable(entries=entries, order=order, threshold=threshold)
+    table.entries.update(parse_word_pairs(lines, "stem", path))
+    return table

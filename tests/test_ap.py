@@ -485,16 +485,16 @@ class TestMessagePassing:
         rng = np.random.default_rng(seed)
         values = rng.uniform(-5.0, 5.0, size=(n, n))
         s = (values + values.T) / 2.0
-        R, A, iterations, _ = message_passing(
-            s, damping=damping, max_iterations=60, convergence_window=1000
-        )
+        # a window longer than the cap forces a full run
+        with mock.patch.object(ap, "_CONVERGENCE_WINDOW", 1000):
+            R, A, iterations, _ = message_passing(s, APConfig(damping=damping, max_iterations=60))
         assert iterations == 60
         assert np.isfinite(R).all()
         assert np.isfinite(A).all()
 
     def test_rejects_single_point(self):
         with pytest.raises(ConfigError):
-            message_passing(np.zeros((1, 1)))
+            message_passing(np.zeros((1, 1)), APConfig())
 
     # rows per block: fixed counts, capped at n, and n - 1, which leaves a
     # last block of one row; 40 rows in blocks of 7 end in a block of 5
@@ -524,7 +524,7 @@ class TestMessagePassing:
         s_bytes = s.tobytes()
         rows = {"n-1": max(n - 1, 1), "n": n}.get(block_rows, block_rows)
         with mock.patch.object(ap, "_BLOCK_BYTES", rows * 8 * n):
-            R, A, iterations, converged = message_passing(s, damping=damping)
+            R, A, iterations, converged = message_passing(s, APConfig(damping=damping))
         assert s.tobytes() == s_bytes
         R_oracle, A_oracle, oracle_iterations, oracle_converged = message_passing_oracle(
             s, damping=damping
@@ -550,7 +550,7 @@ class TestMessagePassing:
         tracemalloc.start()
         try:
             # R, A and the block scratch; run_ap works on the matrix in place
-            passing = peak_n2(lambda: message_passing(matrix.s, max_iterations=20))
+            passing = peak_n2(lambda: message_passing(matrix.s, config))
             run = peak_n2(lambda: run_ap(matrix, config))
         finally:
             tracemalloc.stop()

@@ -21,6 +21,7 @@ from stemcluster import (
 from stemcluster import greedy
 from stemcluster.clusters import Cluster, read_cluster_report, select_stem, write_cluster_report
 from stemcluster.errors import ConfigError, FormatError, PartitionError
+from stemcluster.greedy import StemTable
 from stemcluster.ngrams import dice_ratio, gram_index, gram_set
 from stemcluster.preprocess import clean_text, read_text, tokenize
 
@@ -404,6 +405,24 @@ class TestStemTable:
         assert stem_word(table, "কাজ, কাজের") == "কাজ, কাজের"
         assert stem_word(table, "abc") == "abc"
         assert table.get("কাজ, কাজের") is None
+
+    @pytest.mark.parametrize("order", ["4", "banana", "", "2 "])
+    def test_record_refuses_an_unknown_order(self, order):
+        with pytest.raises(ConfigError, match="order"):
+            StemTable({}, order, 0.06)
+
+    @pytest.mark.parametrize(
+        "threshold", [float("nan"), float("inf"), float("-inf"), 0.0, 1.0, 1.5, -0.2]
+    )
+    def test_record_refuses_a_threshold_greedy_cannot_train_with(self, threshold):
+        with pytest.raises(ConfigError, match="threshold"):
+            StemTable({}, "2", threshold)
+
+    def test_record_stores_a_numpy_threshold_as_a_float(self):
+        table = StemTable({}, "2", np.float32(0.06))
+        assert type(table.threshold) is float
+        assert table.threshold == float(np.float32(0.06))
+        assert StemTable({}, "median", None).threshold is None
 
     @pytest.mark.parametrize("order", ["2", "3", "2+3", "median"])
     def test_every_trained_order_accepted(self, tmp_path, order):

@@ -115,6 +115,74 @@ def test_stem_table_round_trip_with_a_numpy_threshold(tmp_path, threshold):
     assert loaded.entries == table.entries
 
 
+# every row read_stem_table would refuse (an empty field, a TAB, LF or CR in
+# one) or skip (a word starting with '#'), after a readable row and before one
+@pytest.mark.parametrize("neighbour", ["!!", "zz"])
+@pytest.mark.parametrize(
+    "word, stem",
+    [
+        ("ab\nxy", "ab"),
+        ("ab", "a\tb"),
+        ("#ab", "ab"),
+        ("", "ab"),
+        ("ab", ""),
+        ("a\tb", "ab"),
+        ("ab", "a\nb"),
+        ("a\rb", "ab"),
+        ("ab", "a\rb"),
+    ],
+)
+def test_stem_table_writer_refuses_a_row_its_reader_cannot_read_back(
+    tmp_path, neighbour, word, stem
+):
+    path = tmp_path / "table.tsv"
+    write_stem_table(StemTable({"কখ": "কখ", "কখগ": "কখ"}, "2", 0.06), path)
+    before = path.read_bytes()
+    table = StemTable({neighbour: neighbour, word: stem}, "2", 0.06)
+    with pytest.raises(FormatError) as err:
+        write_stem_table(table, path)
+    assert str(path) in str(err.value)
+    assert repr(word) in str(err.value)
+    # refused before the target is opened, so the old table is untouched
+    assert path.read_bytes() == before
+
+
+def test_stem_table_writer_checks_every_chunk_of_rows(tmp_path):
+    # the bad row sorts last, into the second chunk of rows the check reads
+    entries = {f"w{i:05d}": "w00000" for i in range(_WRITE_CHUNK)}
+    entries["z\tz"] = "w00000"
+    path = tmp_path / "table.tsv"
+    with pytest.raises(FormatError) as err:
+        write_stem_table(StemTable(entries, "2", 0.06), path)
+    assert repr("z\tz") in str(err.value)
+    assert not path.exists()
+
+
+# short fields over the characters a row can break on
+row_fields = st.text(alphabet=st.sampled_from("ab#\t\n\r "), max_size=3)
+
+
+@given(entries=st.dictionaries(row_fields, row_fields, max_size=4))
+def test_stem_table_writer_refuses_exactly_what_its_reader_cannot_read_back(
+    tmp_path_factory, entries
+):
+    table = StemTable(entries, "2", 0.5)
+    base = tmp_path_factory.getbasetemp()
+    # the writer's bytes, written without its check
+    rows = "".join(f"{word}\t{entries[word]}\n" for word in sorted(entries))
+    (base / "raw.tsv").write_bytes(f"#stemcluster v1 order=2 threshold=0.5\n{rows}".encode())
+    try:
+        readable = read_stem_table(base / "raw.tsv") == table
+    except FormatError:
+        readable = False
+    if readable:
+        write_stem_table(table, base / "table.tsv")
+        assert read_stem_table(base / "table.tsv") == table
+    else:
+        with pytest.raises(FormatError):
+            write_stem_table(table, base / "table.tsv")
+
+
 # any text JSON must escape or may pass through: quotes, backslashes,
 # control characters and astral code points; no surrogate, which UTF-8
 # cannot encode
