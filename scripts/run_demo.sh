@@ -3,6 +3,8 @@
 # backend, evaluate each result against the gold labels.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+# the package imports from the checkout, installed or not
+export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 out=out/demo
 mkdir -p "$out"

@@ -4,10 +4,11 @@ Works on a dense, symmetric word-pair similarity matrix built in one of
 two modes: ``coefficient`` (dice over pooled bigram+trigram profiles,
 values in [0, 1]) or ``median`` (negated median character-offset
 distance, values in [-200, 0]).  The diagonal carries the preference;
-higher preferences buy more clusters.  The per-mode range check reads
-``SimilarityMatrix.off_diagonal``, a view.  The symmetry and range checks
-read rows in blocks of ``_BLOCK_BYTES``, so they add no n x n temporary.
-The median preference partitions a copy of the upper triangle.
+higher preferences buy more clusters.  ``SimilarityMatrix`` checks
+symmetry and range in one pass over square tiles of the upper triangle,
+each of ``_BLOCK_BYTES`` and compared with its mirror tile, so the check
+adds no n x n temporary.  The median preference partitions a copy of the
+upper triangle.
 
 Each mode is a generator that yields, for every word i, its similarities
 to the words after it.  One loop writes each such row into a float64
@@ -93,7 +94,9 @@ run the guard refuses does not load it either.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
+from itertools import combinations_with_replacement
 from typing import TYPE_CHECKING, NamedTuple
 
 from .clusters import Cluster, select_stem
@@ -132,11 +135,17 @@ PEAK_N2 = 3.5
 
 
 class APConfig(namedtuple("APConfig", "damping preference max_iterations max_points")):
+    """AP settings.  ``max_iterations`` and ``max_points`` are stored as
+    ``operator.index`` gives them, so a float is a ``TypeError`` and a bool
+    or numpy integer an int."""
+
     __slots__ = ()
 
     def __new__(cls, damping: float = 0.5, preference: float | str = MEDIAN_PREFERENCE,
                 max_iterations: int = 200, max_points: int = 20000):
-        self = super().__new__(cls, damping, preference, max_iterations, max_points)
+        self = super().__new__(
+            cls, damping, preference, operator.index(max_iterations), operator.index(max_points)
+        )
         if not 0.5 <= self.damping < 1.0:
             raise ConfigError(f"damping must lie in [0.5, 1), got {self.damping}")
         if isinstance(self.preference, str):
@@ -154,6 +163,17 @@ class APConfig(namedtuple("APConfig", "damping preference max_iterations max_poi
 
 
 class SimilarityMatrix(namedtuple("SimilarityMatrix", "words s mode")):
+    """A checked n x n float64 matrix over ``words``, one row per word.
+
+    ``s`` must be square, symmetric, and hold off-diagonal similarities in
+    the mode's closed range: [0, 1] for ``coefficient``, [-200, 0] for
+    ``median``.  The diagonal holds the preference and is not range-checked;
+    a nan anywhere breaks a rule.  A broken rule raises ``ConfigError``.  A
+    matrix both asymmetric and out of range reports whichever fault comes
+    first in tile order, row of tiles by row of tiles.  A read-only ``s`` is
+    copied, since ``run_ap`` lowers the diagonal in place for a run.
+    """
+
     __slots__ = ()
 
     def __new__(cls, words: tuple[str, ...], s: np.ndarray, mode: str):
@@ -169,25 +189,21 @@ class SimilarityMatrix(namedtuple("SimilarityMatrix", "words s mode")):
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.s.shape != (n, n):
             raise ConfigError(f"similarity matrix must be {n}x{n}, got {self.s.shape}")
-        # both checks read blocks of rows, so neither holds an n x n temporary
-        rows = max(1, _BLOCK_BYTES // (8 * max(n, 1)))
-        for start in range(0, n, rows):
-            if not np.array_equal(self.s[start : start + rows], self.s[:, start : start + rows].T):
-                raise ConfigError("similarity matrix must be symmetric")
         low, high = _MODES[self.mode][1]
-        off_diagonal = self.off_diagonal()
-        for start in range(0, n - 1, rows):
-            block = off_diagonal[start : start + rows]
+        # each tile of the upper triangle equals its mirror, so its range is
+        # the lower triangle's too; the preference on the diagonal is left out
+        side = math.isqrt(_BLOCK_BYTES // 8)
+        for top, left in combinations_with_replacement(range(0, n, side), 2):
+            tile = self.s[top : top + side, left : left + side]
+            if not np.array_equal(tile, self.s[left : left + side, top : top + side].T):
+                raise ConfigError("similarity matrix must be symmetric")
+            if top == left:
+                tile = tile.copy()
+                np.fill_diagonal(tile, low)
             # a nan fails both comparisons
-            if not (block.min() >= low and block.max() <= high):
+            if not (tile.min() >= low and tile.max() <= high):
                 raise ConfigError(f"off-diagonal similarities out of range for mode {self.mode!r}")
         return self
-
-    def off_diagonal(self) -> np.ndarray:
-        """The off-diagonal entries, row by row, as an [n-1, n] view on ``s``."""
-        # in the flat matrix, the n entries after each diagonal one but the last are off it
-        n = len(self.words)
-        return self.s.reshape(-1)[1:].reshape(max(n - 1, 0), n + 1)[:, :n]
 
 
 class APResult(NamedTuple):

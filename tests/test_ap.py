@@ -121,6 +121,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match=field):
             APConfig(**kwargs)
 
+    @pytest.mark.parametrize("field", ["max_iterations", "max_points"])
+    def test_float_count_rejected(self, field):
+        with pytest.raises(TypeError):
+            APConfig(**{field: 2.5})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("max_iterations", True), ("max_iterations", np.int64(3)), ("max_points", np.int64(3))],
+    )
+    def test_integer_count_stored_as_int(self, field, value):
+        stored = getattr(APConfig(**{field: value}), field)
+        assert type(stored) is int and stored == value
+
 
 class TestSimilarityMatrixType:
     def test_rejects_non_square(self):
@@ -137,36 +150,34 @@ class TestSimilarityMatrixType:
         with pytest.raises(ConfigError):
             matrix_from(np.array([[0.0, -201.0], [-201.0, 0.0]]), mode=MEDIAN)
 
-    @pytest.mark.parametrize("block_rows", [1, 2, 5])
+    @pytest.mark.parametrize("side", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n", [5, 7])
     @pytest.mark.parametrize(
         "fault, message",
-        [("asymmetric", "symmetric"), ("out of range", "out of range"), ("nan", "symmetric")],
+        [
+            ("asymmetric", "symmetric"),
+            ("out of range", "out of range"),
+            ("nan", "symmetric"),
+            ("nan preference", "symmetric"),
+        ],
     )
-    # the first row, the last row and the lower triangle
-    @pytest.mark.parametrize("i, j", [(0, 1), (3, 4), (4, 0)])
-    def test_checks_find_a_fault_in_any_row_block(self, block_rows, fault, message, i, j):
-        n = 5
-        s = random_similarity(np.random.default_rng(0), n, preference=0.5)
-        if fault == "asymmetric":
-            s[i, j] = 1.0 - s[j, i] / 2  # still inside [0, 1]
-        else:
-            s[i, j] = s[j, i] = 1.5 if fault == "out of range" else float("nan")
-        with mock.patch.object(ap, "_BLOCK_BYTES", block_rows * 8 * n):
+    # the first row, the last two rows and the lower triangle; by side and n
+    # they land in diagonal, off-diagonal and last partial tiles
+    @pytest.mark.parametrize("i, j", [(0, 1), (-2, -1), (-1, 0)])
+    def test_checks_find_a_fault_in_any_tile(self, side, n, fault, message, i, j):
+        # a preference outside [0, 1] is no fault: the diagonal is not range-checked
+        s = random_similarity(np.random.default_rng(0), n, preference=-0.5)
+        with mock.patch.object(ap, "_BLOCK_BYTES", side * side * 8):
+            matrix_from(np.asfortranarray(s))  # copies, in C order
+            matrix_from(s[:1, :1])  # one word: a lone diagonal tile
+            if fault == "asymmetric":
+                s[i, j] = 1.0 - s[j, i] / 2  # still inside [0, 1]
+            elif fault == "nan preference":
+                s[i, i] = float("nan")
+            else:
+                s[i, j] = s[j, i] = 1.5 if fault == "out of range" else float("nan")
             with pytest.raises(ConfigError, match=message):
                 matrix_from(s)
-
-    @pytest.mark.parametrize("order", ["C", "F"])
-    @pytest.mark.parametrize("n", [1, 2, 3, 17])
-    def test_off_diagonal_is_a_view_of_the_masked_entries(self, n, order):
-        s = np.asarray(random_similarity(np.random.default_rng(n), n, preference=0.5), order=order)
-        matrix = matrix_from(s)  # a one-word matrix constructs too
-        mask = ~np.eye(n, dtype=bool)
-        off_diagonal = matrix.off_diagonal()
-        assert np.array_equal(off_diagonal.ravel(), s[mask])
-        # symmetry hides the entry order, so write distinct values through
-        # ``matrix.s`` and read them back through the same view
-        matrix.s[...] = np.arange(n * n).reshape(n, n)
-        assert np.array_equal(off_diagonal.ravel(), matrix.s[mask])
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ConfigError):
@@ -262,9 +273,9 @@ class TestBuildSimilarityMatrix:
 
     @pytest.mark.parametrize("mode", [COEFFICIENT, MEDIAN])
     def test_build_peak_is_the_matrix_and_one_row(self, mode):
-        # rows are written as they come and checked in row blocks, so a build
-        # holds the matrix plus row temporaries; the median preference adds
-        # the upper triangle's copy, 0.5 n^2 x 8 B
+        # rows are written as they come and checked in tiles, so a build holds
+        # the matrix plus one row's or one tile's temporaries; the median
+        # preference adds the upper triangle's copy, 0.5 n^2 x 8 B
         n = 1000
         lex = synthetic_lexicon(n, seed=3)
         default = APConfig().preference
