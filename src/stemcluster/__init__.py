@@ -5,32 +5,40 @@ clustering on character n-gram dice similarity, and from-scratch affinity
 propagation over a dense similarity matrix (dice or median-offset mode).
 Each cluster's stem is its shortest member.
 
-numpy is imported inside the functions that use it and json inside the
-ones that read or write JSON, so ``import stemcluster`` loads neither;
-the record types are named tuples, which generate no code at import.
+``import stemcluster`` loads no submodule.  ``_HOMES`` maps each public
+name to the module that defines it, and the module's ``__getattr__``
+imports that module on the name's first use and binds the name here, so
+a command or a caller loads only the modules it uses.  numpy is imported
+inside the functions that use it and json inside the ones that read or
+write JSON; the record types are named tuples, which generate no code at
+import.
 """
 
-from .ap import APConfig, build_similarity_matrix, run_ap
-from .clusters import read_cluster_report, write_cluster_report
-from .errors import StemclusterError
-from .evaluation import load_gold, report_stats, score_clusters
-from .greedy import (
-    GreedyConfig,
-    cluster_greedy,
-    read_stem_table,
-    stem_table_from_clusters,
-    stem_word,
-    write_stem_table,
-)
-from .ngrams import dice
-from .preprocess import build_lexicon, clean_text, read_lexicon, tokenize, write_lexicon
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "APConfig", "GreedyConfig", "StemclusterError", "build_lexicon",
-    "build_similarity_matrix", "clean_text", "cluster_greedy", "dice", "load_gold",
-    "read_cluster_report", "read_lexicon", "read_stem_table", "report_stats", "run_ap",
-    "score_clusters", "stem_table_from_clusters", "stem_word", "tokenize",
-    "write_cluster_report", "write_lexicon", "write_stem_table",
-]
+_HOMES = {
+    "APConfig": "config", "GreedyConfig": "config", "StemclusterError": "errors",
+    "build_lexicon": "preprocess", "build_similarity_matrix": "ap",
+    "clean_text": "preprocess", "cluster_greedy": "greedy", "dice": "ngrams",
+    "load_gold": "evaluation", "read_cluster_report": "clusters",
+    "read_lexicon": "preprocess", "read_stem_table": "greedy",
+    "report_stats": "evaluation", "run_ap": "ap", "score_clusters": "evaluation",
+    "stem_table_from_clusters": "greedy", "stem_word": "greedy", "tokenize": "preprocess",
+    "write_cluster_report": "clusters", "write_lexicon": "preprocess",
+    "write_stem_table": "greedy",
+}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_HOMES[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

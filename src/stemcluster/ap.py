@@ -86,20 +86,21 @@ refuses lexicons beyond ``max_points`` up front instead of dying with a
 MemoryError halfway through, and names the peak the run would have had.
 
 numpy is imported inside the functions that build or read arrays, so
-loading this module, as the CLI does for every command, does not load it.
-``build_similarity_matrix`` imports it only after the size checks, so a
-run the guard refuses does not load it either.
+loading this module does not load it.  ``build_similarity_matrix``
+imports it only after the size checks, so a run the guard refuses does
+not load it either.  ``APConfig`` and the mode names are defined in
+``config``, so the CLI parser reads them without loading this module.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from collections import namedtuple
 from itertools import combinations_with_replacement
 from typing import TYPE_CHECKING, NamedTuple
 
 from .clusters import Cluster, select_stem
+from .config import COEFFICIENT, MEDIAN, MEDIAN_PREFERENCE, APConfig
 from .errors import CapacityError, ConfigError, DegenerateClusteringError
 from .ngrams import COMBINED, code_points, dice_ratio, gram_index
 from .preprocess import Lexicon
@@ -109,14 +110,9 @@ if TYPE_CHECKING:
 
     import numpy as np
 
-COEFFICIENT = "coefficient"
-# the name of the median-offset measure, as an AP mode and a stem-table order
-MEDIAN = "median"
 # distance assigned when two words share no character, or disagree by more
 # than the shorter word's length
 FAR_DISTANCE = 200.0
-
-MEDIAN_PREFERENCE = "median"
 
 _TIE_BREAK = 1e-12
 
@@ -134,44 +130,17 @@ _CONVERGENCE_WINDOW = 15
 PEAK_N2 = 3.5
 
 
-class APConfig(namedtuple("APConfig", "damping preference max_iterations max_points")):
-    """AP settings.  ``max_iterations`` and ``max_points`` are stored as
-    ``operator.index`` gives them, so a float is a ``TypeError`` and a bool
-    or numpy integer an int."""
-
-    __slots__ = ()
-
-    def __new__(cls, damping: float = 0.5, preference: float | str = MEDIAN_PREFERENCE,
-                max_iterations: int = 200, max_points: int = 20000):
-        self = super().__new__(
-            cls, damping, preference, operator.index(max_iterations), operator.index(max_points)
-        )
-        if not 0.5 <= self.damping < 1.0:
-            raise ConfigError(f"damping must lie in [0.5, 1), got {self.damping}")
-        if isinstance(self.preference, str):
-            if self.preference != MEDIAN_PREFERENCE:
-                raise ConfigError(
-                    f"preference must be a number or 'median', got {self.preference!r}"
-                )
-        elif not math.isfinite(self.preference):
-            raise ConfigError(f"preference must be a finite number, got {self.preference}")
-        if self.max_iterations < 1:
-            raise ConfigError("max_iterations must be at least 1")
-        if self.max_points < 2:
-            raise ConfigError("max_points must be at least 2")
-        return self
-
-
 class SimilarityMatrix(namedtuple("SimilarityMatrix", "words s mode")):
     """A checked n x n float64 matrix over ``words``, one row per word.
 
     ``s`` must be square, symmetric, and hold off-diagonal similarities in
     the mode's closed range: [0, 1] for ``coefficient``, [-200, 0] for
-    ``median``.  The diagonal holds the preference and is not range-checked;
-    a nan anywhere breaks a rule.  A broken rule raises ``ConfigError``.  A
-    matrix both asymmetric and out of range reports whichever fault comes
-    first in tile order, row of tiles by row of tiles.  A read-only ``s`` is
-    copied, since ``run_ap`` lowers the diagonal in place for a run.
+    ``median``.  The diagonal holds the preference: any finite number, not
+    range-checked.  A nan anywhere breaks a rule.  A broken rule raises
+    ``ConfigError``.  A matrix both asymmetric and out of range reports
+    whichever fault comes first in tile order, row of tiles by row of tiles.
+    A read-only ``s`` is copied, since ``run_ap`` lowers the diagonal in
+    place for a run.
     """
 
     __slots__ = ()
@@ -189,6 +158,13 @@ class SimilarityMatrix(namedtuple("SimilarityMatrix", "words s mode")):
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.s.shape != (n, n):
             raise ConfigError(f"similarity matrix must be {n}x{n}, got {self.s.shape}")
+        diagonal = self.s.diagonal()
+        # a nan makes both ends nan and an infinity one of them infinite;
+        # unlike np.isfinite, min and max run no numpy loop that the tile
+        # checks below do not, so no more of numpy is paged in
+        if n and not (math.isfinite(diagonal.min()) and math.isfinite(diagonal.max())):
+            raise ConfigError("the diagonal of a similarity matrix holds the preference, "
+                              "which must be a finite number")
         low, high = _MODES[self.mode][1]
         # each tile of the upper triangle equals its mirror, so its range is
         # the lower triangle's too; the preference on the diagonal is left out
@@ -428,8 +404,9 @@ def message_passing(S: np.ndarray, config: APConfig) -> tuple[np.ndarray, np.nda
 def run_ap(matrix: SimilarityMatrix, config: APConfig | None = None) -> APResult:
     """Cluster the matrix; stems are the shortest members, exemplars reported.
 
-    Raises DegenerateClusteringError when no exemplar emerges; a run that
-    merely fails to stabilise comes back with ``converged=False``.
+    Raises DegenerateClusteringError when no exemplar emerges, and
+    ConfigError when a message overflows float64; a run that merely fails
+    to stabilise comes back with ``converged=False``.
     """
     import numpy as np
 
@@ -441,8 +418,14 @@ def run_ap(matrix: SimilarityMatrix, config: APConfig | None = None) -> APResult
     points = np.arange(n)
     preferences = s.diagonal().copy()
     try:
-        s[points, points] -= points * scale * _TIE_BREAK
-        R, A, iterations, converged = message_passing(s, cfg)
+        s[points, points] -= points * (scale * _TIE_BREAK)
+        with np.errstate(over="raise", invalid="raise"):
+            R, A, iterations, converged = message_passing(s, cfg)
+    except FloatingPointError:
+        raise ConfigError(
+            f"similarities too large for message passing (largest magnitude {scale:g}); "
+            "use a preference of smaller magnitude"
+        ) from None
     finally:
         s[points, points] = preferences
     beliefs = R.diagonal() + A.diagonal()

@@ -7,6 +7,11 @@ hyperparameter defaults to its ``GreedyConfig`` or ``APConfig`` field,
 and the whole pipeline is deterministic: identical inputs produce
 identical artifacts.
 
+The module loads only the parser's needs: the settings records, the
+errors and the gram orders.  Each ``cmd_*`` imports the modules it runs,
+so ``--help`` and ``preprocess`` load no clustering code, and only an AP
+``train`` loads ``ap``.
+
 ``stem`` answers stdin a block of complete lines at a time and writes
 each block's answers at once; argument words are answered as one block.
 """
@@ -16,21 +21,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .ap import (
-    COEFFICIENT, MEDIAN, MEDIAN_PREFERENCE, APConfig, build_similarity_matrix, estimated_peak, run_ap
-)
+from .config import COEFFICIENT, MEDIAN, MEDIAN_PREFERENCE, APConfig, GreedyConfig
 from .errors import ConfigError, InputEncodingError, StemclusterError
-from .evaluation import format_table, load_gold, score_clusters, report_stats
-from .clusters import read_cluster_report, write_cluster_report
-from .greedy import (
-    GreedyConfig,
-    cluster_greedy,
-    read_stem_table,
-    stem_table_from_clusters,
-    write_stem_table,
-)
 from .ngrams import COMBINED, GRAM_ORDERS
-from .preprocess import build_lexicon, read_lexicon, read_text, tokenize, write_lexicon
 
 # each exemplar backend's similarity mode and the order its stem table records
 _AP_BACKENDS = {"ap-coeff": (COEFFICIENT, COMBINED), "ap-median": (MEDIAN, MEDIAN)}
@@ -112,6 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_preprocess(args) -> int:
+    from .preprocess import build_lexicon, read_text, tokenize, write_lexicon
     tokens: list[str] = []
     for path in args.inputs:
         tokens.extend(tokenize(read_text(path)))
@@ -124,6 +118,10 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from .clusters import write_cluster_report
+    from .evaluation import report_stats
+    from .greedy import cluster_greedy, stem_table_from_clusters, write_stem_table
+    from .preprocess import read_lexicon
     lexicon = read_lexicon(args.lexicon)
     if args.backend == "greedy":
         config = GreedyConfig(gram_order=args.ngram, threshold=args.threshold)
@@ -131,6 +129,7 @@ def cmd_train(args) -> int:
         order, threshold = config.gram_order, config.threshold
         write_cluster_report(args.report, clusters)
     else:
+        from .ap import build_similarity_matrix, estimated_peak, run_ap
         mode, order = _AP_BACKENDS[args.backend]
         config = APConfig(
             damping=args.damping,
@@ -165,6 +164,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_stem(args) -> int:
+    from .greedy import read_stem_table
     if sys.stdout is None:
         raise StemclusterError("stdout is closed; nowhere to write the stems")
     if not args.words and sys.stdin is None:
@@ -217,6 +217,8 @@ def _answers(table, words, mark_oov: bool) -> list[str]:
 
 def cmd_evaluate(args) -> int:
     import json
+    from .clusters import read_cluster_report
+    from .evaluation import format_table, load_gold, score_clusters
     if args.min_accuracy is not None and not 0.0 <= args.min_accuracy <= 1.0:
         raise ConfigError(f"--min-accuracy must lie in [0, 1], got {args.min_accuracy}")
     clusters, _meta = read_cluster_report(args.report)
@@ -236,7 +238,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (StemclusterError, OSError) as exc:
+    except (StemclusterError, OSError, ImportError) as exc:
+        # each command imports what it runs, so a missing numpy shows up here
         print(f"error: {_one_line(exc)}", file=sys.stderr)
         return 2 if isinstance(exc, ConfigError) else 1
     except MemoryError as exc:

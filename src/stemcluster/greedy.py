@@ -55,10 +55,10 @@ import re
 from collections import namedtuple
 from itertools import chain
 
-from .ap import MEDIAN
 from .clusters import Cluster
+from .config import MEDIAN, GreedyConfig
 from .errors import ConfigError, FormatError, PartitionError
-from .ngrams import BIGRAM, GRAM_ORDERS, dice_ratio, gram_index, gram_set
+from .ngrams import GRAM_ORDERS, dice_ratio, gram_index
 from .preprocess import _WRITE_CHUNK, Lexicon, parse_word_pairs, read_lines, tokenize, write_lines
 
 _TABLE_MAGIC = "#stemcluster v1"
@@ -71,17 +71,6 @@ _TABLE_ORDERS = (*GRAM_ORDERS, MEDIAN)
 # holds at least one seed, so its temporaries grow with posting volume, not
 # with the number of seeds
 _BLOCK_ENTRIES = 4096
-
-
-class GreedyConfig(namedtuple("GreedyConfig", "gram_order threshold")):
-    __slots__ = ()
-
-    def __new__(cls, gram_order: str = BIGRAM, threshold: float = 0.06):
-        self = super().__new__(cls, gram_order, threshold)
-        gram_set("", self.gram_order)  # refuses an unknown order
-        if not 0.0 < self.threshold < 1.0:
-            raise ConfigError(f"threshold must lie strictly between 0 and 1, got {self.threshold}")
-        return self
 
 
 class StemTable(namedtuple("StemTable", "entries order threshold")):

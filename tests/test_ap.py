@@ -158,7 +158,7 @@ class TestSimilarityMatrixType:
             ("asymmetric", "symmetric"),
             ("out of range", "out of range"),
             ("nan", "symmetric"),
-            ("nan preference", "symmetric"),
+            ("nan preference", "preference"),
         ],
     )
     # the first row, the last two rows and the lower triangle; by side and n
@@ -182,6 +182,20 @@ class TestSimilarityMatrixType:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ConfigError):
             matrix_from(np.zeros((2, 2)), mode="euclidean")
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("point", [0, 1, 2])
+    @pytest.mark.parametrize("mode", [COEFFICIENT, MEDIAN])
+    def test_rejects_a_non_finite_preference_on_the_diagonal(self, value, point, mode):
+        s = np.zeros((3, 3))
+        s[point, point] = value
+        with pytest.raises(ConfigError, match="diagonal .* preference, which must be a finite"):
+            SimilarityMatrix(words=("ab", "abc", "xy"), s=s, mode=mode)
+        # two words: a nan would otherwise fail the symmetry check first
+        with pytest.raises(ConfigError, match="preference"):
+            matrix_from(s[:2, :2] if point < 2 else s[1:, 1:], mode=mode)
+        # no words: an empty diagonal has no bad entry
+        SimilarityMatrix(words=(), s=s[:0, :0], mode=mode)
 
 
 class TestBuildSimilarityMatrix:
@@ -401,6 +415,20 @@ class TestRunAP:
         result = run_ap(matrix_from(np.zeros((5, 5))))
         assert result.converged
         assert [c.members for c in result.clusters] == [tuple(f"w{i:02d}" for i in range(5))]
+
+    def test_huge_preference_gives_singletons_without_overflow(self):
+        # the tie-break of point k is k * (max|s| * 1e-12); multiplying k by
+        # max|s| first overflowed from point 18 on
+        s = random_similarity(np.random.default_rng(3), 20, preference=1e307)
+        result = run_ap(matrix_from(s))
+        assert [len(c.members) for c in result.clusters] == [1] * 20
+
+    def test_overflowing_messages_are_a_config_error(self):
+        s = random_similarity(np.random.default_rng(3), 10, preference=-1e308)
+        matrix = matrix_from(s)
+        with pytest.raises(ConfigError, match="too large"):
+            run_ap(matrix)
+        assert np.array_equal(matrix.s, s)  # the diagonal is restored
 
     def test_degenerate_when_no_exemplar_emerges(self):
         matrix = matrix_from(np.array([[0.1, 0.9], [0.9, 0.1]]))

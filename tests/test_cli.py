@@ -273,6 +273,37 @@ class TestTrain:
         assert value in err
         assert not (tmp_path / "r.json").exists()
 
+    def test_overflowing_preference_is_one_usage_error_line(
+        self, tmp_path, demo_expected_dir, capsys
+    ):
+        code = run_cli(
+            "train", str(demo_expected_dir / "lexicon.txt"),
+            "--backend", "ap-coeff",
+            "--preference=-1e308",
+            "--stem-table", str(tmp_path / "t.tsv"),
+            "--report", str(tmp_path / "r.json"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: similarities too large for message passing")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "r.json").exists()
+
+    def test_huge_preference_makes_every_word_its_own_cluster(
+        self, tmp_path, demo_expected_dir, capsys
+    ):
+        code = run_cli(
+            "train", str(demo_expected_dir / "lexicon.txt"),
+            "--backend", "ap-coeff",
+            "--preference", "1e307",
+            "--stem-table", str(tmp_path / "t.tsv"),
+            "--report", str(tmp_path / "r.json"),
+        )
+        assert code == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.endswith("clusters=48 reduction_ratio=1.0000\n")
+
     def test_stats_unique_mismatch_is_one_error_line(self, tmp_path, capsys):
         lexicon = tmp_path / "lex.txt"
         lexicon.write_text("#stats total=10 unique=1\nকখ\nগঘ\nকখগ\n", encoding="utf-8")
@@ -735,30 +766,33 @@ class TestReaderFuzz:
             assert len(errors) == 1
 
 
-# Runs the commands in a fresh interpreter and reports, after each one,
-# whether numpy and statistics have been imported; only clustering needs
-# numpy, and no command needs statistics.
-_NUMPY_PROBE = """
+# Runs the named commands, in order, in a fresh interpreter and reports,
+# after each one, whether numpy, statistics, dataclasses and json have been
+# imported, and which of the package's modules are loaded; only clustering
+# needs numpy, and no command needs statistics.
+_IMPORT_PROBE = """
 import contextlib, io, sys
 def heavy():
     return [name in sys.modules for name in ("numpy", "statistics", "dataclasses", "json")]
+def package():
+    return sorted(name.partition(".")[2] for name in sys.modules if name.startswith("stemcluster."))
 import stemcluster
 loaded = [("import stemcluster", *heavy())]
+modules = [("import stemcluster", package())]
 from stemcluster.cli import main
-corpus, gold, report, table, workdir = sys.argv[1:]
-lexicon = workdir + "/lexicon.txt"
-steps = [
-    ("--help", ["--help"], ""),
-    ("preprocess", ["preprocess", corpus, "-o", lexicon], ""),
-    ("evaluate", ["evaluate", report, gold], ""),
-    ("stem words", ["stem", table, "কাজের", "কখগঘ"], ""),
-    ("stem stdin", ["stem", table], "কাজের\\nবইটি\\n"),
-    ("train refused", ["train", lexicon, "--backend", "ap-coeff", "--max-points", "2",
-                       "--stem-table", workdir + "/t.tsv", "--report", workdir + "/r.json"], ""),
-    ("train greedy", ["train", lexicon, "--backend", "greedy",
-                      "--stem-table", workdir + "/t.tsv", "--report", workdir + "/r.json"], ""),
-]
-for name, argv, stdin in steps:
+corpus, gold, report, table, lexicon, workdir, *names = sys.argv[1:]
+outputs = ["--stem-table", workdir + "/t.tsv", "--report", workdir + "/r.json"]
+steps = {
+    "--help": (["--help"], ""),
+    "preprocess": (["preprocess", corpus, "-o", workdir + "/lexicon.txt"], ""),
+    "evaluate": (["evaluate", report, gold], ""),
+    "stem words": (["stem", table, "কাজের", "কখগঘ"], ""),
+    "stem stdin": (["stem", table], "কাজের\\nবইটি\\n"),
+    "train refused": (["train", lexicon, "--backend", "ap-coeff", "--max-points", "2", *outputs], ""),
+    "train greedy": (["train", lexicon, "--backend", "greedy", *outputs], ""),
+}
+for name in names:
+    argv, stdin = steps[name]
     sys.stdin = io.TextIOWrapper(io.BytesIO(stdin.encode()), encoding="utf-8")
     with contextlib.redirect_stdout(io.StringIO()):
         try:
@@ -767,9 +801,25 @@ for name, argv, stdin in steps:
             code = exc.code
     assert code == (1 if name == "train refused" else 0), (name, code)
     loaded.append((name, *heavy()))
+    modules.append((name, package()))
 import json
-print(json.dumps(loaded))
+print(json.dumps([loaded, modules]))
 """
+
+# the modules every command loads: the CLI's parser needs only these
+_PARSER_MODULES = ["cli", "config", "errors", "ngrams"]
+
+
+def _probe_imports(tmp_path, demo_corpus, demo_gold, demo_expected_dir, *names):
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(demo_corpus), str(demo_gold),
+         str(demo_expected_dir / "greedy_report.json"),
+         str(demo_expected_dir / "greedy_stems.tsv"),
+         str(demo_expected_dir / "lexicon.txt"), str(tmp_path), *names],
+        capture_output=True, text=True, encoding="utf-8", env=src_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 _MEMORY_PROBE = """
@@ -782,6 +832,17 @@ with open("/proc/self/status", encoding="ascii") as status:
 resource.setrlimit(resource.RLIMIT_AS, (size + int(extra), resource.getrlimit(resource.RLIMIT_AS)[1]))
 sys.exit(main(["train", lexicon, "--backend", "ap-coeff", "--max-iter", "2",
                "--stem-table", workdir + "/t.tsv", "--report", workdir + "/r.json"]))
+"""
+
+
+# Trains the demo lexicon in an interpreter where numpy cannot be imported.
+_WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None
+from stemcluster.cli import main
+lexicon, workdir = sys.argv[1:]
+sys.exit(main(["train", lexicon, "--stem-table", workdir + "/t.tsv",
+               "--report", workdir + "/r.json"]))
 """
 
 
@@ -805,17 +866,14 @@ class TestThresholdSweep:
 
 class TestEntryPoint:
     def test_only_train_loads_numpy(self, tmp_path, demo_corpus, demo_gold, demo_expected_dir):
-        proc = subprocess.run(
-            [sys.executable, "-c", _NUMPY_PROBE, str(demo_corpus), str(demo_gold),
-             str(demo_expected_dir / "greedy_report.json"),
-             str(demo_expected_dir / "greedy_stems.tsv"), str(tmp_path)],
-            capture_output=True, text=True, encoding="utf-8", env=src_env(),
+        loaded, _modules = _probe_imports(
+            tmp_path, demo_corpus, demo_gold, demo_expected_dir, "--help", "preprocess",
+            "evaluate", "stem words", "stem stdin", "train refused", "train greedy",
         )
-        assert proc.returncode == 0, proc.stderr
         # per step: numpy, statistics, dataclasses and json loaded; no class
         # is generated at import, and json is loaded by the first command
         # that reads or writes it
-        assert json.loads(proc.stdout) == [
+        assert loaded == [
             ["import stemcluster", False, False, False, False],
             ["--help", False, False, False, False],
             ["preprocess", False, False, False, False],
@@ -827,6 +885,41 @@ class TestEntryPoint:
             # the probe does see numpy once a command needs it
             ["train greedy", True, False, False, True],
         ]
+
+    @pytest.mark.parametrize(
+        "name, modules",
+        [
+            ("--help", _PARSER_MODULES),
+            ("preprocess", [*_PARSER_MODULES, "preprocess"]),
+            ("evaluate", [*_PARSER_MODULES, "clusters", "evaluation", "preprocess"]),
+            ("stem words", [*_PARSER_MODULES, "clusters", "greedy", "preprocess"]),
+            ("stem stdin", [*_PARSER_MODULES, "clusters", "greedy", "preprocess"]),
+            ("train greedy",
+             [*_PARSER_MODULES, "clusters", "evaluation", "greedy", "preprocess"]),
+            # an AP backend loads the whole package
+            ("train refused",
+             [*_PARSER_MODULES, "ap", "clusters", "evaluation", "greedy", "preprocess"]),
+        ],
+    )
+    def test_each_command_loads_only_its_modules(
+        self, tmp_path, demo_corpus, demo_gold, demo_expected_dir, name, modules
+    ):
+        _loaded, loaded_modules = _probe_imports(
+            tmp_path, demo_corpus, demo_gold, demo_expected_dir, name
+        )
+        assert loaded_modules == [["import stemcluster", []], [name, sorted(modules)]]
+
+    def test_train_without_numpy_is_one_error_line(self, tmp_path, demo_expected_dir):
+        proc = subprocess.run(
+            [sys.executable, "-c", _WITHOUT_NUMPY, str(demo_expected_dir / "lexicon.txt"),
+             str(tmp_path)],
+            capture_output=True, text=True, encoding="utf-8", env=src_env(), timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
+        assert "numpy" in proc.stderr
+        assert not (tmp_path / "r.json").exists()
 
     def test_train_runs_under_a_profiler(self, tmp_path, demo_expected_dir):
         # a profiler holds a reference to each array method it sees called
