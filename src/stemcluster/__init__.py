@@ -9,9 +9,9 @@ Each cluster's stem is its shortest member.
 name to the module that defines it, and the module's ``__getattr__``
 imports that module on the name's first use and binds the name here, so
 a command or a caller loads only the modules it uses.  numpy is imported
-inside the functions that use it and json inside the ones that read or
-write JSON; the record types are named tuples, which generate no code at
-import.
+by ``ap`` when it loads and elsewhere inside the functions that use it,
+and json inside the ones that read or write JSON; the record types are
+named tuples, which generate no code at import.
 """
 
 from importlib import import_module

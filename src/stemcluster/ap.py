@@ -69,7 +69,7 @@ the same float64 operations as in the textbook update, so the messages
 are bitwise those of the version with a fresh n x n temporary per step.
 A run therefore holds three n x n arrays, the matrix, R and A; R and A
 are freed before each point's exemplar similarities are gathered.
-``PEAK_N2`` is the process peak that ``estimated_peak`` reports.
+``config.PEAK_N2`` is the process peak that ``estimated_peak`` reports.
 
 Exactly tied instances (e.g. two identical points with equal preference)
 make the messages perfectly symmetric and every self-belief converges to
@@ -82,14 +82,13 @@ reads a non-exemplar's own entry and sets each exemplar's by hand, so it
 sees the same clusters either way.
 
 Dense [n, n] messages mean quadratic memory, so matrix construction
-refuses lexicons beyond ``max_points`` up front instead of dying with a
-MemoryError halfway through, and names the peak the run would have had.
+refuses lexicons beyond ``max_points`` up front (``APConfig.check_capacity``)
+instead of dying with a MemoryError halfway through, and names the peak
+the run would have had.
 
-numpy is imported inside the functions that build or read arrays, so
-loading this module does not load it.  ``build_similarity_matrix``
-imports it only after the size checks, so a run the guard refuses does
-not load it either.  ``APConfig`` and the mode names are defined in
-``config``, so the CLI parser reads them without loading this module.
+The guard, ``APConfig`` and the mode names live in ``config``, so the CLI
+asks the guard and reads the parser's defaults without loading this
+module or numpy.
 """
 
 from __future__ import annotations
@@ -99,16 +98,16 @@ from collections import namedtuple
 from itertools import combinations_with_replacement
 from typing import TYPE_CHECKING, NamedTuple
 
+import numpy as np
+
 from .clusters import Cluster, select_stem
 from .config import COEFFICIENT, MEDIAN, MEDIAN_PREFERENCE, APConfig
-from .errors import CapacityError, ConfigError, DegenerateClusteringError
+from .errors import ConfigError, DegenerateClusteringError
 from .ngrams import COMBINED, code_points, dice_ratio, gram_index
 from .preprocess import Lexicon
 
 if TYPE_CHECKING:
     from collections.abc import Iterator
-
-    import numpy as np
 
 # distance assigned when two words share no character, or disagree by more
 # than the shorter word's length
@@ -122,12 +121,6 @@ _BLOCK_BYTES = 1 << 19
 # message passing converges once a non-empty exemplar set stays the same for
 # this many iterations
 _CONVERGENCE_WINDOW = 15
-
-# process peak of an AP run in units of n^2 * 8 B: the matrix, R and A, plus
-# the block scratch.  Peak RSS over a 2-word run, `train --max-iter 10` on
-# 3 000 / 6 000 synthetic words: ap-coeff 3.03 / 3.02, ap-median 3.05 /
-# 3.02; the largest, rounded up to the next 0.5
-PEAK_N2 = 3.5
 
 
 class SimilarityMatrix(namedtuple("SimilarityMatrix", "words s mode")):
@@ -146,8 +139,6 @@ class SimilarityMatrix(namedtuple("SimilarityMatrix", "words s mode")):
     __slots__ = ()
 
     def __new__(cls, words: tuple[str, ...], s: np.ndarray, mode: str):
-        import numpy as np
-
         s = np.ascontiguousarray(s, dtype=np.float64)
         if not s.flags.writeable:
             # run_ap lowers the diagonal in place for the length of a run
@@ -190,14 +181,6 @@ class APResult(NamedTuple):
     mode: str
 
 
-def estimated_peak(n: int) -> str:
-    """The estimated process peak of an AP run over ``n`` words, for messages."""
-    return (
-        f"affinity propagation over {n} words would peak near "
-        f"{PEAK_N2 * n * n * 8 / 2**30:.1f} GiB ({PEAK_N2} x n^2 x 8 B)"
-    )
-
-
 def build_similarity_matrix(
     lexicon: Lexicon, mode: str, config: APConfig | None = None
 ) -> SimilarityMatrix:
@@ -205,16 +188,11 @@ def build_similarity_matrix(
     cfg = config or APConfig()
     words = lexicon.words
     n = len(words)
-    if n > cfg.max_points:
-        raise CapacityError(
-            f"lexicon has {n} words but max_points={cfg.max_points}; {estimated_peak(n)}"
-        )
+    cfg.check_capacity(n)
     if n < 2:
         raise ConfigError("similarity matrix needs at least 2 words")
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    import numpy as np
-
     s = np.zeros((n, n))
     for i, row in enumerate(_MODES[mode][0](words)):
         s[i, i + 1 :] = row
@@ -233,8 +211,6 @@ def _median_preference(s: np.ndarray) -> float:
     Each off-diagonal value occurs twice, so the off-diagonal's two middle
     values are the upper triangle's ranks (m-1)//2 and m//2, m = n(n-1)/2.
     """
-    import numpy as np
-
     n = len(s)
     m = n * (n - 1) // 2
     upper = np.empty(m)
@@ -248,8 +224,6 @@ def _median_preference(s: np.ndarray) -> float:
 
 
 def _coefficient_rows(words) -> Iterator[np.ndarray]:
-    import numpy as np
-
     # profiles are sets, so word i shares with word j as many grams as j
     # appears in the posting lists of i's grams; every word has a bigram,
     # so there is always a list to join.  The last row is empty.
@@ -261,8 +235,6 @@ def _coefficient_rows(words) -> Iterator[np.ndarray]:
 
 
 def _median_rows(words) -> Iterator[np.ndarray]:
-    import numpy as np
-
     # first[j, c] is the first position of character c in word j, or
     # ``absent`` when word j lacks it; ``absent`` is so large that every
     # offset against it exceeds any real one and sorts behind it.  The
@@ -322,8 +294,6 @@ def message_passing(S: np.ndarray, config: APConfig) -> tuple[np.ndarray, np.nda
     non-empty exemplar set unchanged over ``_CONVERGENCE_WINDOW``
     consecutive iterations.  S is only read.
     """
-    import numpy as np
-
     n = S.shape[0]
     if S.shape != (n, n) or n < 2:
         raise ConfigError("message passing needs a square matrix over at least 2 points")
@@ -408,13 +378,12 @@ def run_ap(matrix: SimilarityMatrix, config: APConfig | None = None) -> APResult
     ConfigError when a message overflows float64; a run that merely fails
     to stabilise comes back with ``converged=False``.
     """
-    import numpy as np
-
     cfg = config or APConfig()
     n = len(matrix.words)
     s = matrix.s
-    # max|s| without an n x n temporary; 1 for an all-zero matrix
-    scale = max(float(s.max()), -float(s.min())) or 1.0
+    # max|s| without an n x n temporary; 1 for an all-zero matrix, and an
+    # empty one gets as far as message passing's size check
+    scale = max(float(s.max(initial=0.0)), -float(s.min(initial=0.0))) or 1.0
     points = np.arange(n)
     preferences = s.diagonal().copy()
     try:

@@ -10,7 +10,7 @@ identical artifacts.
 The module loads only the parser's needs: the settings records, the
 errors and the gram orders.  Each ``cmd_*`` imports the modules it runs,
 so ``--help`` and ``preprocess`` load no clustering code, and only an AP
-``train`` loads ``ap``.
+``train`` loads ``ap``, once ``APConfig`` has let its lexicon through.
 
 ``stem`` answers stdin a block of complete lines at a time and writes
 each block's answers at once; argument words are answered as one block.
@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import COEFFICIENT, MEDIAN, MEDIAN_PREFERENCE, APConfig, GreedyConfig
+from .config import COEFFICIENT, MEDIAN, MEDIAN_PREFERENCE, APConfig, GreedyConfig, estimated_peak
 from .errors import ConfigError, InputEncodingError, StemclusterError
 from .ngrams import COMBINED, GRAM_ORDERS
 
@@ -129,7 +129,6 @@ def cmd_train(args) -> int:
         order, threshold = config.gram_order, config.threshold
         write_cluster_report(args.report, clusters)
     else:
-        from .ap import build_similarity_matrix, estimated_peak, run_ap
         mode, order = _AP_BACKENDS[args.backend]
         config = APConfig(
             damping=args.damping,
@@ -137,6 +136,9 @@ def cmd_train(args) -> int:
             max_iterations=args.max_iter,
             max_points=args.max_points,
         )
+        # refuse an oversized lexicon before numpy and ``ap`` are loaded
+        config.check_capacity(lexicon.unique_tokens)
+        from .ap import build_similarity_matrix, run_ap
         try:
             matrix = build_similarity_matrix(lexicon, mode, config)
             result = run_ap(matrix, config)
@@ -254,7 +256,3 @@ def main(argv=None) -> int:
 
 def _one_line(exc: object) -> str:
     return " ".join(str(exc).split())
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

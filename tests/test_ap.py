@@ -15,12 +15,12 @@ from stemcluster.ap import (
     APConfig,
     COEFFICIENT,
     MEDIAN,
-    PEAK_N2,
     SimilarityMatrix,
     build_similarity_matrix,
     message_passing,
     run_ap,
 )
+from stemcluster.config import PEAK_N2
 from stemcluster.errors import CapacityError, ConfigError, DegenerateClusteringError
 from stemcluster.evaluation import report_stats
 from stemcluster.ngrams import COMBINED, dice
@@ -133,6 +133,16 @@ class TestConfig:
     def test_integer_count_stored_as_int(self, field, value):
         stored = getattr(APConfig(**{field: value}), field)
         assert type(stored) is int and stored == value
+
+    def test_capacity_boundary(self):
+        config = APConfig(max_points=5)
+        assert config.check_capacity(5) is None
+        with pytest.raises(CapacityError) as err:
+            config.check_capacity(6)
+        assert str(err.value) == (
+            "lexicon has 6 words but max_points=5; affinity propagation over 6 words "
+            "would peak near 0.0 GiB (3.5 x n^2 x 8 B)"
+        )
 
 
 class TestSimilarityMatrixType:
@@ -347,6 +357,18 @@ class TestBuildSimilarityMatrix:
         assert "max_points=10" in str(err.value)
         assert str(len(lex.words)) in str(err.value)
 
+    def test_capacity_boundary(self):
+        lexicon = build_lexicon(["কখ", "কখগ", "কখগঘ", "গঘ", "গঘঙ", "কগ"])
+        n = len(lexicon.words)
+        matrix = build_similarity_matrix(lexicon, COEFFICIENT, APConfig(max_points=n))
+        assert matrix.s.shape == (n, n)
+        with pytest.raises(CapacityError) as err:
+            build_similarity_matrix(lexicon, COEFFICIENT, APConfig(max_points=n - 1))
+        assert str(err.value) == (
+            f"lexicon has {n} words but max_points={n - 1}; affinity propagation over {n} words "
+            "would peak near 0.0 GiB (3.5 x n^2 x 8 B)"
+        )
+
     def test_capacity_error_states_estimated_peak(self):
         n = 20_001
         letters = sorted(set(BANGLA_LETTERS))
@@ -409,6 +431,13 @@ class TestRunAP:
         s = random_similarity(rng, 6, preference=5.0)
         result = run_ap(matrix_from(s))
         assert len(result.clusters) == 6
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_words_is_config_error(self, n):
+        # the record accepts these; message passing refuses them
+        matrix = SimilarityMatrix(words=("কখ",)[:n], s=np.zeros((n, n)), mode=COEFFICIENT)
+        with pytest.raises(ConfigError, match="at least 2 points"):
+            run_ap(matrix)
 
     def test_all_zero_matrix_gives_one_cluster(self):
         # max|s| is 0, so the tie-break falls back to a scale of 1

@@ -235,9 +235,10 @@ class TestTrain:
             "--report", str(tmp_path / "r.json"),
         )
         assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert "max_points=10" in err
+        assert capsys.readouterr().err == (
+            "error: lexicon has 48 words but max_points=10; affinity propagation over 48 words "
+            "would peak near 0.0 GiB (3.5 x n^2 x 8 B)\n"
+        )
 
     @pytest.mark.parametrize("backend", ["ap-coeff", "ap-median"])
     def test_ap_demo_artifacts_match_committed(
@@ -790,6 +791,7 @@ steps = {
     "stem stdin": (["stem", table], "কাজের\\nবইটি\\n"),
     "train refused": (["train", lexicon, "--backend", "ap-coeff", "--max-points", "2", *outputs], ""),
     "train greedy": (["train", lexicon, "--backend", "greedy", *outputs], ""),
+    "train ap": (["train", lexicon, "--backend", "ap-coeff", *outputs], ""),
 }
 for name in names:
     argv, stdin = steps[name]
@@ -880,7 +882,7 @@ class TestEntryPoint:
             ["evaluate", False, False, False, True],
             ["stem words", False, False, False, True],
             ["stem stdin", False, False, False, True],
-            # the size guard refuses the run before numpy is imported
+            # APConfig refuses the run before ap or numpy is imported
             ["train refused", False, False, False, True],
             # the probe does see numpy once a command needs it
             ["train greedy", True, False, False, True],
@@ -896,8 +898,11 @@ class TestEntryPoint:
             ("stem stdin", [*_PARSER_MODULES, "clusters", "greedy", "preprocess"]),
             ("train greedy",
              [*_PARSER_MODULES, "clusters", "evaluation", "greedy", "preprocess"]),
-            # an AP backend loads the whole package
+            # the capacity guard refuses before ap is loaded
             ("train refused",
+             [*_PARSER_MODULES, "clusters", "evaluation", "greedy", "preprocess"]),
+            # an AP backend loads the whole package
+            ("train ap",
              [*_PARSER_MODULES, "ap", "clusters", "evaluation", "greedy", "preprocess"]),
         ],
     )
@@ -908,6 +913,15 @@ class TestEntryPoint:
             tmp_path, demo_corpus, demo_gold, demo_expected_dir, name
         )
         assert loaded_modules == [["import stemcluster", []], [name, sorted(modules)]]
+
+    def test_ap_train_loads_numpy(self, tmp_path, demo_corpus, demo_gold, demo_expected_dir):
+        loaded, _modules = _probe_imports(
+            tmp_path, demo_corpus, demo_gold, demo_expected_dir, "train ap"
+        )
+        assert loaded == [
+            ["import stemcluster", False, False, False, False],
+            ["train ap", True, False, False, True],
+        ]
 
     def test_train_without_numpy_is_one_error_line(self, tmp_path, demo_expected_dir):
         proc = subprocess.run(
