@@ -9,8 +9,9 @@ identical artifacts.
 
 The module loads only the parser's needs: the settings records, the
 errors and the gram orders.  Each ``cmd_*`` imports the modules it runs,
-so ``--help`` and ``preprocess`` load no clustering code, and only an AP
-``train`` loads ``ap``, once ``APConfig`` has let its lexicon through.
+so ``--help`` and ``preprocess`` load no clustering code, and an AP
+``train`` loads ``ap`` and the other clustering modules only once
+``APConfig`` has let its lexicon through.
 
 ``stem`` answers stdin a block of complete lines at a time and writes
 each block's answers at once; argument words are answered as one block.
@@ -118,12 +119,11 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from .clusters import write_cluster_report
-    from .evaluation import report_stats
-    from .greedy import cluster_greedy, stem_table_from_clusters, write_stem_table
     from .preprocess import read_lexicon
     lexicon = read_lexicon(args.lexicon)
     if args.backend == "greedy":
+        from .clusters import write_cluster_report
+        from .greedy import cluster_greedy
         config = GreedyConfig(gram_order=args.ngram, threshold=args.threshold)
         clusters = cluster_greedy(lexicon, config)
         order, threshold = config.gram_order, config.threshold
@@ -136,9 +136,10 @@ def cmd_train(args) -> int:
             max_iterations=args.max_iter,
             max_points=args.max_points,
         )
-        # refuse an oversized lexicon before numpy and ``ap`` are loaded
+        # refuse an oversized lexicon before numpy or any clustering module is loaded
         config.check_capacity(lexicon.unique_tokens)
         from .ap import build_similarity_matrix, run_ap
+        from .clusters import write_cluster_report
         try:
             matrix = build_similarity_matrix(lexicon, mode, config)
             result = run_ap(matrix, config)
@@ -158,6 +159,8 @@ def cmd_train(args) -> int:
             print(f"warning: not converged after {result.iterations} iterations", file=sys.stderr)
         print(f"mode={result.mode} converged={str(result.converged).lower()} "
               f"iterations={result.iterations}")
+    from .evaluation import report_stats
+    from .greedy import stem_table_from_clusters, write_stem_table
     table = stem_table_from_clusters(clusters, order=order, threshold=threshold)
     write_stem_table(table, args.stem_table)
     stats = report_stats(clusters)

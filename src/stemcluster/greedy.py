@@ -55,9 +55,9 @@ import re
 from collections import namedtuple
 from itertools import chain
 
-from .clusters import Cluster
+from .clusters import Cluster, check_partition
 from .config import MEDIAN, GreedyConfig
-from .errors import ConfigError, FormatError, PartitionError
+from .errors import ConfigError, FormatError
 from .ngrams import GRAM_ORDERS, dice_ratio, gram_index
 from .preprocess import _WRITE_CHUNK, Lexicon, parse_word_pairs, read_lines, tokenize, write_lines
 
@@ -165,13 +165,11 @@ def cluster_greedy(lexicon: Lexicon, config: GreedyConfig | None = None) -> list
 
 
 def stem_table_from_clusters(clusters, *, order: str, threshold: float | None) -> StemTable:
-    """Expand clusters into a word -> stem map, refusing overlaps."""
-    entries: dict[str, str] = {}
-    for cluster in clusters:
-        for word in cluster.members:
-            if word in entries:
-                raise PartitionError(f"word {word!r} appears in more than one cluster")
-            entries[word] = cluster.stem
+    """Expand clusters into a word -> stem map; ``check_partition`` refuses overlaps."""
+    clusters = list(clusters)
+    # the check's set is freed before the map is built
+    check_partition(clusters)
+    entries = {word: cluster.stem for cluster in clusters for word in cluster.members}
     return StemTable(entries=entries, order=order, threshold=threshold)
 
 

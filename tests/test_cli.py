@@ -898,9 +898,8 @@ class TestEntryPoint:
             ("stem stdin", [*_PARSER_MODULES, "clusters", "greedy", "preprocess"]),
             ("train greedy",
              [*_PARSER_MODULES, "clusters", "evaluation", "greedy", "preprocess"]),
-            # the capacity guard refuses before ap is loaded
-            ("train refused",
-             [*_PARSER_MODULES, "clusters", "evaluation", "greedy", "preprocess"]),
+            # the capacity guard refuses before any clustering module is loaded
+            ("train refused", [*_PARSER_MODULES, "preprocess"]),
             # an AP backend loads the whole package
             ("train ap",
              [*_PARSER_MODULES, "ap", "clusters", "evaluation", "greedy", "preprocess"]),

@@ -1,4 +1,5 @@
 import codecs
+import json
 import random
 import sys
 import tracemalloc
@@ -269,6 +270,26 @@ class TestClusterInvariants:
         with pytest.raises(ValueError, match="not a member"):
             Cluster(stem="ab", members=("abc", "abd"))
 
+    def test_one_string_is_not_a_member_collection(self):
+        # tuple() would split it into the members ('a', 'b')
+        with pytest.raises(TypeError, match="not one str"):
+            Cluster("a", "ab")
+
+    @pytest.mark.parametrize("stem, members", [(1, (1, 2)), (None, ("ab",)), (b"ab", (b"ab",))])
+    def test_stem_must_be_a_string(self, stem, members):
+        with pytest.raises(TypeError, match="stem must be a str"):
+            Cluster(stem, members)
+
+    @pytest.mark.parametrize("members", [("ab", 2), ("ab", None), ("ab", b"abc")])
+    def test_members_must_be_strings(self, members):
+        with pytest.raises(TypeError, match="members must all be str"):
+            Cluster("ab", members)
+
+
+# the second cluster repeats 'bb' and then 'aa': the first repeated word in
+# member order is 'bb', the smallest one 'aa'
+SHARED_WORDS = [Cluster("xx", ("xx", "bb", "aa")), Cluster("bb", ("bb", "aa"))]
+
 
 class TestStemTable:
     def test_expansion(self):
@@ -290,6 +311,16 @@ class TestStemTable:
         ]
         with pytest.raises(PartitionError):
             default_table(clusters)
+
+    def test_overlap_names_the_first_repeated_word_in_member_order(self):
+        with pytest.raises(PartitionError, match="word 'bb' appears in more than one cluster"):
+            default_table(SHARED_WORDS)
+
+    def test_any_iterable_of_clusters(self):
+        clusters = [Cluster(stem="ab", members=("ab", "abc")), Cluster("x", ("x",))]
+        assert default_table(iter(clusters)) == default_table(clusters)
+        with pytest.raises(PartitionError):
+            default_table(iter(SHARED_WORDS))
 
     def test_stems_self_map(self):
         clusters = cluster_greedy(build_lexicon(["কখ", "কখগ", "ঘঙচ"]))
@@ -482,3 +513,62 @@ class TestClusterReportFiles:
         path.write_text(f"[{entry}]", encoding="utf-8")
         with pytest.raises(FormatError):
             read_cluster_report(path)
+
+    def test_overlap_names_the_word_the_stem_table_names(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps([c._asdict() for c in SHARED_WORDS]), encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            read_cluster_report(path)
+        assert str(err.value) == f"{path}: word 'bb' appears in more than one cluster"
+
+    def test_malformed_entry_is_reported_before_an_earlier_overlap(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text(
+            '[{"stem":"ab","members":["ab"]},{"stem":"ab","members":["ab"]},'
+            '{"stem":"cd","members":"cd"}]',
+            encoding="utf-8",
+        )
+        with pytest.raises(FormatError, match="bad cluster entry"):
+            read_cluster_report(path)
+
+    def test_members_object_rejected(self, tmp_path):
+        # tuple() of the object would be its keys, the members ('ab',)
+        path = tmp_path / "report.json"
+        path.write_text('[{"stem":"ab","members":{"ab":1}}]', encoding="utf-8")
+        with pytest.raises(FormatError, match="bad cluster entry"):
+            read_cluster_report(path)
+
+    @pytest.mark.parametrize("exemplar_run", [False, True], ids=["plain", "exemplar"])
+    @pytest.mark.parametrize(
+        "clusters, error",
+        [
+            (SHARED_WORDS, PartitionError),
+            ([Cluster("ab", ("ab",)), Cluster("ab", ("ab",))], PartitionError),
+            ([Cluster("ab", ("ab",)), Cluster._make((1, (1, 2)))], TypeError),
+            ([Cluster("ab", ("ab",)), Cluster("cd", ("cd",))._replace(members=("cd", 2))],
+             TypeError),
+            ([Cluster._make(("a", "ab"))], TypeError),
+            ([Cluster._make(("ab", ("ab", "ab")))], ValueError),
+        ],
+        ids=["shared-words", "same-cluster-twice", "int-stem", "int-member", "str-members",
+             "repeated-member"],
+    )
+    def test_writer_refuses_what_its_reader_refuses(self, tmp_path, clusters, error,
+                                                      exemplar_run):
+        path = tmp_path / "report.json"
+        write_cluster_report(path, [Cluster("কাজ", ("কাজ", "কাজের"))])
+        before = path.read_bytes()
+        run = {}
+        if exemplar_run:
+            run = dict(exemplars=[c.stem for c in clusters], mode="coefficient",
+                       converged=True, iterations=3)
+        with pytest.raises(error):
+            write_cluster_report(path, iter(clusters), **run)
+        # refused before the target is opened, so the old report is untouched
+        assert path.read_bytes() == before
+
+    def test_writer_takes_any_iterable_of_clusters(self, tmp_path):
+        clusters = cluster_greedy(build_lexicon(["কখ", "কখগ", "ঘঙচ"]))
+        write_cluster_report(tmp_path / "list.json", clusters)
+        write_cluster_report(tmp_path / "iter.json", iter(clusters))
+        assert (tmp_path / "iter.json").read_bytes() == (tmp_path / "list.json").read_bytes()

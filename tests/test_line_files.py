@@ -11,6 +11,7 @@ import codecs
 import json
 import string
 import tracemalloc
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from stemcluster import (
 )
 from stemcluster.ap import COEFFICIENT, MEDIAN
 from stemcluster.clusters import Cluster
-from stemcluster.errors import FormatError
+from stemcluster.errors import FormatError, PartitionError
 from stemcluster.greedy import StemTable, stem_table_from_clusters
 from stemcluster.ngrams import GRAM_ORDERS
 from stemcluster.preprocess import _WRITE_CHUNK, Lexicon, lexicon_sort_key, read_lines, write_lines
@@ -271,6 +272,68 @@ def test_exemplar_cluster_report_round_trip(
     assert read_cluster_report(path) == (clusters, meta)
     payload = json.loads(path.read_text(encoding="utf-8"))
     assert [entry["exemplar"] for entry in payload["clusters"]] == exemplars
+
+
+# a record with a cluster's fields but none of its rules
+RawCluster = namedtuple("RawCluster", "stem members")
+
+
+# few words, so clusters often share one
+@st.composite
+def raw_clusters(draw, words=st.sampled_from(["ab", "cd", "ef", "gh"])):
+    """Cluster-shaped records, about half of them valid, the rest breaking one ``Cluster`` rule."""
+    members = draw(st.lists(words, min_size=1, max_size=3, unique=True))
+    stem = draw(st.sampled_from(members))
+    fault = draw(st.none() | st.sampled_from(
+        ["stem", "member", "str", "empty", "repeated", "outsider"]))
+    if fault == "stem":
+        stem = draw(st.sampled_from([1, None]))
+    elif fault == "member":
+        members[-1] = draw(st.sampled_from([1, None]))
+    elif fault == "str":
+        members = "".join(members)
+    elif fault == "empty":
+        members = []
+    elif fault == "repeated":
+        members.append(members[0])
+    elif fault == "outsider":
+        stem = "zz"
+    return RawCluster(stem, members)
+
+
+@given(clusters=st.lists(raw_clusters(), max_size=4), exemplar_run=st.booleans())
+def test_cluster_report_writer_refuses_exactly_what_its_reader_refuses(
+    tmp_path_factory, clusters, exemplar_run
+):
+    base = tmp_path_factory.getbasetemp()
+    entries = [c._asdict() for c in clusters]
+    run = {}
+    if exemplar_run:
+        run = dict(exemplars=[c.stem for c in clusters], mode=COEFFICIENT, converged=False,
+                   iterations=7)
+        for entry, exemplar in zip(entries, run["exemplars"]):
+            entry["exemplar"] = exemplar
+        payload = {key: run[key] for key in ("mode", "converged", "iterations")}
+        payload["clusters"] = entries
+    else:
+        payload = entries
+    # the writer's bytes, written without its checks
+    raw = json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+    (base / "raw.json").write_bytes(raw.encode())
+    try:
+        expected = read_cluster_report(base / "raw.json")
+    except FormatError:
+        expected = None
+    target = base / "report.json"
+    target.write_bytes(b"old report")
+    if expected is not None:
+        write_cluster_report(target, clusters, **run)
+        assert target.read_bytes() == raw.encode()
+        assert read_cluster_report(target) == expected
+    else:
+        with pytest.raises((PartitionError, TypeError, ValueError)):
+            write_cluster_report(target, clusters, **run)
+        assert target.read_bytes() == b"old report"
 
 
 @pytest.mark.parametrize(
