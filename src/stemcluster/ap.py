@@ -1,27 +1,46 @@
 """Exemplar clustering by responsibility/availability message passing.
 
-Works on a dense, symmetric word-pair similarity matrix built in one of
-two modes: ``coefficient`` (dice over pooled bigram+trigram profiles,
-values in [0, 1]) or ``median`` (negated median character-offset
-distance, values in [-200, 0]).  The diagonal carries the preference;
-higher preferences buy more clusters.  ``SimilarityMatrix`` checks
-symmetry and range in one pass over square tiles of the upper triangle,
-each of ``_BLOCK_BYTES`` and compared with its mirror tile, so the check
-adds no n x n temporary.  The median preference partitions a copy of the
-upper triangle.
+Works on a symmetric word-pair similarity matrix built in one of two
+modes: ``coefficient`` (dice over pooled bigram+trigram profiles, values
+in [0, 1]) or ``median`` (negated median character-offset distance,
+values in [-200, 0] in steps of 0.5).  The diagonal carries the
+preference; higher preferences buy more clusters.
 
-Each mode is a generator that yields, for every word i, its similarities
-to the words after it.  One loop writes each such row into a float64
-n x n matrix and mirrors it below the diagonal, so a build holds the
-matrix plus one row's temporaries, whatever the mode, and one n(n-1)/2
-buffer for the median preference.  The diagonal stays 0 until the
-preference is written there.
+No n x n float64 similarity array is kept.  Each mode has a compact
+store beside a float64 diagonal vector:
+- coefficient: an entry is nonzero only where two words share a gram,
+  so the store keeps, per block of rows, each off-diagonal nonzero as
+  an int32 flat position inside the block and a float64 value, 12 B
+  each, every other entry being 0.0.  A block whose nonzeros would take
+  more room than its dense float64 rows (more than 2/3 of its entries)
+  is kept dense instead, so the store never outgrows the dense matrix.
+  The share of nonzero pairs decides what it saves: 5-9% on the
+  synthetic lexicons of the tests and the benchmark (0.08-0.14
+  n^2 x 8 B), 17% on the 48-word demo lexicon, and 100% when every
+  word carries one common prefix (1.0 n^2 x 8 B).  No real lexicon of
+  realistic size has been measured;
+- median: every off-diagonal entry s is held as the int16 q = -2 s in
+  [0, 400], 2 B each, whatever the words; q = 0 reads back as -0.0, as
+  the measure writes it.
+Message passing and the assignment step decode one block of rows at a
+time into a float64 scratch, so every value they read is the float64
+the measure computed.  The median preference comes from the store with
+no dense copy: from the zero count and a copy of the nonzeros above the
+diagonal in coefficient mode, from a 401-bin count of q in median mode.
 
-A coefficient row counts the grams word i shares with each later word as
-the number of times that word appears in the posting lists of i's grams;
-profiles are sets, so no gram is counted twice.  One ``bincount`` over
-those lists gives the counts, and ``dice_ratio`` turns them into the same
-float64 values as the word-level ``dice``.
+Each mode is a generator over the lexicon's rows, filled straight into
+its store.  A coefficient row holds word i's nonzero similarities to
+every other word, so each pair is computed from both ends and no mirror
+needs sorting into place.  It counts the grams word i shares with each
+word as the number of times that word appears in the posting lists of
+i's grams; profiles are sets, so no gram is counted twice.  One
+``bincount`` over those lists gives the counts, and ``dice_ratio`` turns
+the nonzero ones into the same float64 values as the word-level
+``dice``; 2C/(A+B) is symmetric, bit for bit.  The rows of one block
+are joined into its store entry before the next block's are computed.
+A median row holds word i's similarities to the words after it, and is
+mirrored below the diagonal.  A build holds the store plus one block's
+temporaries.
 
 The median measure of two words is the median absolute difference of
 the first-occurrence positions of the characters they share, negated so
@@ -40,6 +59,13 @@ equals it bit for bit (the tests keep the scalar form as an oracle).
 Temporaries stay at one [n, m] block per row, m being the row word's
 distinct-character count.
 
+``SimilarityMatrix(words, s, mode)`` takes a hand-built dense ``s``,
+checks symmetry, range and, in median mode, the steps of 0.5 in one
+pass over square tiles of the upper triangle, each of ``_BLOCK_BYTES``
+and compared with its mirror tile, so the check adds no n x n
+temporary, and then encodes it into the mode's store.  The build fills
+the store directly and skips the check.
+
 Every point starts as a potential exemplar.  Each iteration sends
 responsibilities
 
@@ -54,37 +80,48 @@ each blended as damping*old + (1-damping)*new.  Iteration stops once the
 exemplar set {k : r(k,k) + a(k,k) > 0} has been stable for
 ``_CONVERGENCE_WINDOW`` iterations, or at the ``APConfig`` iteration cap.
 
-``message_passing`` reads S and allocates R, A and one (B+1) x n
-scratch once, before the loop; B is the number of rows that fit in
-``_BLOCK_BYTES`` (at least 1, at most n).  Each iteration makes two
-passes over blocks of B rows.  The first writes a block's a(i,k)+s(i,k)
-and new responsibilities into scratch rows 1..B, blends them into R,
-then writes the block's clipped responsibilities there and folds them
-into the column sums held in scratch row 0, with one reduce over rows
-0..B.  That reduce adds the rows one after another, as a whole-matrix
-sum(axis=0) does, so the sums are bitwise the same; adding per-block
-partial sums would not be.  The second pass clips each block again,
-computes its availabilities and blends them into A.  Every element sees
-the same float64 operations as in the textbook update, so the messages
-are bitwise those of the version with a fresh n x n temporary per step.
-A run therefore holds three n x n arrays, the matrix, R and A; R and A
-are freed before each point's exemplar similarities are gathered.
-``config.PEAK_N2`` is the process peak that ``estimated_peak`` reports.
+``message_passing`` allocates R, A and one (B+1) x n scratch once,
+before the loop; B is the number of rows that fit in ``_BLOCK_BYTES``
+(at least 1, at most n).  Each iteration is one sweep over blocks of B
+rows, which sends a block's availabilities of iteration t and then its
+responsibilities of t+1 while its rows of R and A are in cache.  The
+availabilities clip the block's responsibilities into scratch rows 1..B
+and subtract them from the column sums of iteration t, then blend into
+A.  The responsibilities decode the block of S into those rows, add
+a(i,k), find each row's two largest a(i,k)+s(i,k), decode S there again
+for the new responsibilities, and blend them into R.  Decoding twice
+keeps a second block buffer out of the run.  The block's clipped
+responsibilities are then folded into the column sums of iteration t+1
+held in scratch row 0, with one reduce over rows 0..B.  That reduce
+adds the rows one after another, as a whole-matrix sum(axis=0) does, so
+the sums are bitwise the same; adding per-block partial sums would not
+be.  The exemplar set of iteration t needs every a(k,k) before the
+sweep, so the loop computes them first from the column sums, with the
+operations the sweep applies to them, and reads the same bits.  Every
+element sees the same float64 operations as in the textbook update, so
+the messages are bitwise those of the version with a dense S and a
+fresh n x n temporary per step.  A run therefore holds R and A, two
+n x n float64 arrays, beside the store: 0.25 n^2 x 8 B in median mode,
+and between 0 and 1.0 n^2 x 8 B in coefficient mode, as above.  R and
+A are freed before each point's exemplar similarities are gathered, one
+decoded block at a time.  ``config.PEAK_N2`` holds, per mode, the
+process peak that ``estimated_peak`` reports; coefficient mode's is its
+bound, with every block dense.
 
 Exactly tied instances (e.g. two identical points with equal preference)
 make the messages perfectly symmetric and every self-belief converges to
 zero, electing nobody.  To stay deterministic without random noise,
-``run_ap`` lowers point k's preference by k * 1e-12 * max|s| in place
-for the length of the message passing, then restores the saved diagonal,
-even when message passing raises; the ordering-based tiebreak is far
-below any meaningful similarity difference.  The assignment step never
-reads a non-exemplar's own entry and sets each exemplar's by hand, so it
-sees the same clusters either way.
+``run_ap`` lowers point k's preference by k * 1e-12 * max|s| in a copy
+of the diagonal that only message passing reads; the ordering-based
+tiebreak is far below any meaningful similarity difference.  The
+assignment step reads the record's own diagonal, never reads a
+non-exemplar's own entry and sets each exemplar's by hand, so it sees
+the same clusters either way.
 
-Dense [n, n] messages mean quadratic memory, so matrix construction
-refuses lexicons beyond ``max_points`` up front (``APConfig.check_capacity``)
-instead of dying with a MemoryError halfway through, and names the peak
-the run would have had.
+Quadratic memory means that matrix construction refuses lexicons beyond
+``max_points`` up front (``APConfig.check_capacity``) instead of dying
+with a MemoryError halfway through, and names the peak the run would
+have had.
 
 The guard, ``APConfig`` and the mode names live in ``config``, so the CLI
 asks the guard and reads the parser's defaults without loading this
@@ -95,7 +132,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -112,6 +149,8 @@ if TYPE_CHECKING:
 # distance assigned when two words share no character, or disagree by more
 # than the shorter word's length
 FAR_DISTANCE = 200.0
+# a median similarity s is stored as q = -2 s, an integer in [0, _FAR_HALVES]
+_FAR_HALVES = 400
 
 _TIE_BREAK = 1e-12
 
@@ -123,54 +162,219 @@ _BLOCK_BYTES = 1 << 19
 _CONVERGENCE_WINDOW = 15
 
 
-class SimilarityMatrix(namedtuple("SimilarityMatrix", "words s mode")):
-    """A checked n x n float64 matrix over ``words``, one row per word.
+def _block_rows(n: int) -> int:
+    """Rows per block of message passing over n points: at least 1, at most n."""
+    return max(1, min(n, _BLOCK_BYTES // (8 * max(n, 1))))
 
-    ``s`` must be square, symmetric, and hold off-diagonal similarities in
-    the mode's closed range: [0, 1] for ``coefficient``, [-200, 0] for
-    ``median``.  The diagonal holds the preference: any finite number, not
+
+def _with_diagonal(block: np.ndarray, lo: int, diagonal: np.ndarray) -> np.ndarray:
+    """``block``, C-contiguous rows lo.. of a matrix, with their diagonal entries written."""
+    # row r's diagonal entry, that of point lo + r, sits at flat offset
+    # r * n + lo + r
+    block.reshape(-1)[lo :: block.shape[1] + 1] = diagonal[lo : lo + len(block)]
+    return block
+
+
+class _Nonzeros(namedtuple("_Nonzeros", "diagonal block_rows blocks")):
+    """Coefficient similarities: the diagonal, and per block of
+    ``block_rows`` rows either its off-diagonal nonzeros, as int32 flat
+    positions inside the block and float64 values, every other entry
+    being 0.0, or, where those would take more room than the block, the
+    block as a dense float64 array with a zero diagonal."""
+
+    __slots__ = ()
+
+    @classmethod
+    def from_rows(cls, diagonal: np.ndarray, rows) -> _Nonzeros:
+        """From (columns, values) of each row's off-diagonal nonzeros, in row order."""
+        n = len(diagonal)
+        size = _block_rows(n)
+        rows = iter(rows)
+        blocks = []
+        for _ in range(0, n, size):
+            block = list(islice(rows, size))
+            positions = np.concatenate([columns + r * n for r, (columns, _) in enumerate(block)])
+            values = np.concatenate([row_values for _, row_values in block])
+            if 12 * len(values) > 8 * len(block) * n:
+                dense = np.zeros((len(block), n))
+                dense.reshape(-1)[positions] = values
+                blocks.append(dense)
+            else:
+                blocks.append((positions.astype(np.int32), values))
+        return cls(diagonal, size, tuple(blocks))
+
+    @classmethod
+    def from_dense(cls, s: np.ndarray) -> _Nonzeros:
+        def rows():
+            for i, row in enumerate(s):
+                columns = np.flatnonzero(row)
+                columns = columns[columns != i]
+                yield columns, row[columns]
+
+        return cls.from_rows(s.diagonal().copy(), rows())
+
+    def values(self) -> Iterator[np.ndarray]:
+        """Each block's values: its nonzeros, or the dense block."""
+        for stored in self.blocks:
+            yield stored if isinstance(stored, np.ndarray) else stored[1]
+
+    def largest(self) -> float:
+        """max |s| over the off-diagonal and 0."""
+        return max((float(values.max(initial=0.0)) for values in self.values()), default=0.0)
+
+    def ranked(self, ranks: list[int]) -> np.ndarray:
+        """The upper triangle's values at the given ranks, in ascending order."""
+        # each nonzero is stored as (i, j) and (j, i), so the upper triangle
+        # holds half of them, gathered block by block into one array; the
+        # zeros come before them
+        n = len(self.diagonal)
+        upper = np.empty(sum(map(np.count_nonzero, self.values())) // 2)
+        filled = 0
+        for lo, stored in zip(range(0, n, self.block_rows), self.blocks):
+            if isinstance(stored, np.ndarray):
+                above = np.triu(stored, lo + 1)
+                above = above[above != 0.0]
+            else:
+                positions, values = stored
+                above = values[positions % n - positions // n > lo]
+            upper[filled : filled + len(above)] = above
+            filled += len(above)
+        zeros = n * (n - 1) // 2 - len(upper)
+        picks = [rank - zeros for rank in ranks if rank >= zeros]
+        if picks:
+            upper.partition(picks)
+        return np.array([upper[rank - zeros] if rank >= zeros else 0.0 for rank in ranks])
+
+    def rows(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        """Rows lo..hi, a whole block from its first row, decoded into ``out``."""
+        block = out[: hi - lo]
+        stored = self.blocks[lo // self.block_rows]
+        if isinstance(stored, np.ndarray):
+            np.copyto(block, stored)
+        else:
+            positions, values = stored
+            block.fill(0.0)
+            block.reshape(-1)[positions] = values
+        return _with_diagonal(block, lo, self.diagonal)
+
+
+class _Halves(namedtuple("_Halves", "diagonal halves")):
+    """Median similarities: the diagonal, and every off-diagonal entry s as
+    the int16 q = -2 s in [0, 400] of an n x n ``halves``, whose own
+    diagonal is 0 and unread."""
+
+    __slots__ = ()
+
+    @classmethod
+    def from_rows(cls, diagonal: np.ndarray, rows) -> _Halves:
+        """From each row's similarities to the later words, in row order."""
+        n = len(diagonal)
+        halves = np.zeros((n, n), dtype=np.int16)
+        for i, row in enumerate(rows):
+            np.multiply(row, -2.0, out=halves[i, i + 1 :], casting="unsafe")
+            halves[i + 1 :, i] = halves[i, i + 1 :]
+        return cls(diagonal, halves)
+
+    @classmethod
+    def from_dense(cls, s: np.ndarray) -> _Halves:
+        return cls.from_rows(s.diagonal().copy(), (row[i + 1 :] for i, row in enumerate(s)))
+
+    @property
+    def block_rows(self) -> int:
+        return _block_rows(len(self.diagonal))
+
+    def largest(self) -> float:
+        """max |s| over the off-diagonal and 0."""
+        return float(self.halves.max(initial=0)) / 2
+
+    def ranked(self, ranks: list[int]) -> np.ndarray:
+        """The upper triangle's values at the given ranks, in ascending order."""
+        # whole blocks of rows count each off-diagonal entry twice and the
+        # diagonal's n zeros once; ascending s is descending q
+        n = len(self.diagonal)
+        size = self.block_rows
+        counts = np.zeros(_FAR_HALVES + 1, dtype=np.intp)
+        for lo in range(0, n, size):
+            counts += np.bincount(self.halves[lo : lo + size].ravel(), minlength=_FAR_HALVES + 1)
+        counts[0] -= n
+        counts //= 2
+        at_least = np.cumsum(counts[::-1])
+        return (_FAR_HALVES - np.searchsorted(at_least, ranks, side="right")) * -0.5
+
+    def rows(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        """Rows lo..hi decoded into ``out``."""
+        block = out[: hi - lo]
+        # a cast copy, then one multiply: faster than a mixed-type multiply
+        np.copyto(block, self.halves[lo:hi])
+        block *= -0.5
+        return _with_diagonal(block, lo, self.diagonal)
+
+
+class SimilarityMatrix(namedtuple("SimilarityMatrix", "words store mode")):
+    """Similarities over ``words``, one row per word, in the mode's store.
+
+    ``SimilarityMatrix(words, s, mode)`` checks a dense n x n ``s`` and
+    encodes it.  ``s`` must be square, symmetric, and hold off-diagonal
+    similarities in the mode's closed range: [0, 1] for ``coefficient``,
+    [-200, 0] for ``median``, where each must also be a multiple of 0.5.
+    The diagonal holds the preference: any finite number, not
     range-checked.  A nan anywhere breaks a rule.  A broken rule raises
-    ``ConfigError``.  A matrix both asymmetric and out of range reports
-    whichever fault comes first in tile order, row of tiles by row of tiles.
-    A read-only ``s`` is copied, since ``run_ap`` lowers the diagonal in
-    place for a run.
+    ``ConfigError`` before anything is stored.  A matrix breaking several
+    rules reports whichever fault comes first in tile order, row of tiles
+    by row of tiles.  The record keeps no reference to ``s``.  An
+    off-diagonal zero keeps no sign: it reads back as the build writes
+    it, +0.0 in coefficient mode and -0.0 in median mode.  The store
+    takes at most n^2 x 8 B, as much as ``s``: the median store 2 B per
+    entry, the coefficient store 12 B per off-diagonal nonzero, or 8 B
+    per entry in the blocks of rows where more than 2/3 are nonzero.
+
+    ``s`` reads the matrix back as a dense float64 array, decoded afresh
+    on each read: n^2 x 8 B, for tests and oracles.
     """
 
     __slots__ = ()
 
     def __new__(cls, words: tuple[str, ...], s: np.ndarray, mode: str):
-        s = np.ascontiguousarray(s, dtype=np.float64)
-        if not s.flags.writeable:
-            # run_ap lowers the diagonal in place for the length of a run
-            s = s.copy()
-        self = super().__new__(cls, tuple(words), s, mode)
-        n = len(self.words)
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.s.shape != (n, n):
-            raise ConfigError(f"similarity matrix must be {n}x{n}, got {self.s.shape}")
-        diagonal = self.s.diagonal()
+        words = tuple(words)
+        s = np.asarray(s, dtype=np.float64)
+        n = len(words)
+        if mode not in MODES:
+            raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+        if s.shape != (n, n):
+            raise ConfigError(f"similarity matrix must be {n}x{n}, got {s.shape}")
+        diagonal = s.diagonal()
         # a nan makes both ends nan and an infinity one of them infinite;
         # unlike np.isfinite, min and max run no numpy loop that the tile
         # checks below do not, so no more of numpy is paged in
         if n and not (math.isfinite(diagonal.min()) and math.isfinite(diagonal.max())):
             raise ConfigError("the diagonal of a similarity matrix holds the preference, "
                               "which must be a finite number")
-        low, high = _MODES[self.mode][1]
+        _, store, (low, high) = _MODES[mode]
         # each tile of the upper triangle equals its mirror, so its range is
         # the lower triangle's too; the preference on the diagonal is left out
         side = math.isqrt(_BLOCK_BYTES // 8)
         for top, left in combinations_with_replacement(range(0, n, side), 2):
-            tile = self.s[top : top + side, left : left + side]
-            if not np.array_equal(tile, self.s[left : left + side, top : top + side].T):
+            tile = s[top : top + side, left : left + side]
+            if not np.array_equal(tile, s[left : left + side, top : top + side].T):
                 raise ConfigError("similarity matrix must be symmetric")
             if top == left:
                 tile = tile.copy()
                 np.fill_diagonal(tile, low)
             # a nan fails both comparisons
             if not (tile.min() >= low and tile.max() <= high):
-                raise ConfigError(f"off-diagonal similarities out of range for mode {self.mode!r}")
-        return self
+                raise ConfigError(f"off-diagonal similarities out of range for mode {mode!r}")
+            if mode == MEDIAN and np.fmod(tile, 0.5).any():
+                raise ConfigError("median similarities must be multiples of 0.5")
+        return super().__new__(cls, words, store.from_dense(s), mode)
+
+    @property
+    def s(self) -> np.ndarray:
+        n = len(self.words)
+        s = np.empty((n, n))
+        size = self.store.block_rows
+        for lo in range(0, n, size):
+            self.store.rows(lo, min(lo + size, n), s[lo:])
+        return s
 
 
 class APResult(NamedTuple):
@@ -184,54 +388,47 @@ class APResult(NamedTuple):
 def build_similarity_matrix(
     lexicon: Lexicon, mode: str, config: APConfig | None = None
 ) -> SimilarityMatrix:
-    """Dense symmetric similarities with the preference on the diagonal."""
+    """Symmetric similarities in the mode's store, with the preference on the diagonal."""
     cfg = config or APConfig()
     words = lexicon.words
     n = len(words)
-    cfg.check_capacity(n)
-    if n < 2:
-        raise ConfigError("similarity matrix needs at least 2 words")
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    s = np.zeros((n, n))
-    for i, row in enumerate(_MODES[mode][0](words)):
-        s[i, i + 1 :] = row
-        s[i + 1 :, i] = row
-    matrix = SimilarityMatrix(words=words, s=s, mode=mode)
+    cfg.check_capacity(n, mode)
+    if n < 2:
+        raise ConfigError("similarity matrix needs at least 2 words")
+    measure, store, _ = _MODES[mode]
+    store = store.from_rows(np.zeros(n), measure(words))
     preference = cfg.preference
     if preference == MEDIAN_PREFERENCE:
-        preference = _median_preference(matrix.s)
-    np.fill_diagonal(matrix.s, preference)
-    return matrix
+        preference = _median_preference(store)
+    store.diagonal[:] = preference
+    return SimilarityMatrix._make((words, store, mode))
 
 
-def _median_preference(s: np.ndarray) -> float:
-    """``np.median`` of the off-diagonal of the symmetric ``s``, from its upper triangle.
+def _median_preference(store) -> float:
+    """``np.median`` of the off-diagonal of the store's symmetric matrix.
 
     Each off-diagonal value occurs twice, so the off-diagonal's two middle
     values are the upper triangle's ranks (m-1)//2 and m//2, m = n(n-1)/2.
     """
-    n = len(s)
+    n = len(store.diagonal)
     m = n * (n - 1) // 2
-    upper = np.empty(m)
-    start = 0
-    for i in range(n - 1):
-        upper[start : start + n - 1 - i] = s[i, i + 1 :]
-        start += n - 1 - i
-    middle = [(m - 1) // 2, m // 2]
-    upper.partition(middle)
-    return upper[middle].mean()
+    return store.ranked([(m - 1) // 2, m // 2]).mean()
 
 
-def _coefficient_rows(words) -> Iterator[np.ndarray]:
+def _coefficient_rows(words) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     # profiles are sets, so word i shares with word j as many grams as j
     # appears in the posting lists of i's grams; every word has a bigram,
-    # so there is always a list to join.  The last row is empty.
+    # so there is always a list to join.  Each row is word i's nonzero
+    # similarities to every other word, as (columns, values).
     index = gram_index(words, COMBINED)
     postings = index.posting_lists()
     for i, grams in enumerate(np.split(index.grams, index.word_starts[1:-1])):
         common = np.bincount(np.concatenate([postings[g] for g in grams]), minlength=len(words))
-        yield dice_ratio(common[i + 1 :], index.sizes[i], index.sizes[i + 1 :])
+        common[i] = 0
+        columns = np.flatnonzero(common)
+        yield columns, dice_ratio(common[columns], index.sizes[i], index.sizes[columns])
 
 
 def _median_rows(words) -> Iterator[np.ndarray]:
@@ -278,29 +475,49 @@ def _median_rows(words) -> Iterator[np.ndarray]:
         yield np.where(far, -FAR_DISTANCE, -distance)
 
 
-# per mode: the rows of its similarities to later words, and the closed
+# per mode: the rows of its measure, the store they fill, and the closed
 # range every off-diagonal similarity lies in
 _MODES = {
-    COEFFICIENT: (_coefficient_rows, (0.0, 1.0)),
-    MEDIAN: (_median_rows, (-FAR_DISTANCE, 0.0)),
+    COEFFICIENT: (_coefficient_rows, _Nonzeros, (0.0, 1.0)),
+    MEDIAN: (_median_rows, _Halves, (-FAR_DISTANCE, 0.0)),
 }
 MODES = tuple(_MODES)
 
 
-def message_passing(S: np.ndarray, config: APConfig) -> tuple[np.ndarray, np.ndarray, int, bool]:
-    """Iterate the damped updates on a raw similarity matrix.
+class _Dense(namedtuple("_Dense", "s")):
+    """A raw n x n float64 array, read as message passing reads a store."""
 
-    Returns (R, A, iterations run, converged).  Convergence means a
-    non-empty exemplar set unchanged over ``_CONVERGENCE_WINDOW``
-    consecutive iterations.  S is only read.
+    __slots__ = ()
+
+    @property
+    def block_rows(self) -> int:
+        return _block_rows(len(self.s))
+
+    def rows(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        """Rows lo..hi copied into ``out``."""
+        block = out[: hi - lo]
+        np.copyto(block, self.s[lo:hi])
+        return block
+
+
+def message_passing(S, config: APConfig) -> tuple[np.ndarray, np.ndarray, int, bool]:
+    """Iterate the damped updates on a similarity matrix.
+
+    ``S`` is a raw n x n array, only read, or the store of a
+    ``SimilarityMatrix``, decoded one block of rows at a time.  Returns
+    (R, A, iterations run, converged).  Convergence means a non-empty
+    exemplar set unchanged over ``_CONVERGENCE_WINDOW`` consecutive
+    iterations.
     """
-    n = S.shape[0]
-    if S.shape != (n, n) or n < 2:
+    dense = isinstance(S, np.ndarray)
+    n = S.shape[0] if dense else len(S.diagonal)
+    if (dense and S.shape != (n, n)) or n < 2:
         raise ConfigError("message passing needs a square matrix over at least 2 points")
-    S = np.asarray(S, dtype=np.float64)
-    R = np.zeros_like(S)
-    A = np.zeros_like(S)
-    size = max(1, min(n, _BLOCK_BYTES // (8 * n)))
+    if dense:
+        S = _Dense(np.asarray(S, dtype=np.float64))
+    size = S.block_rows
+    R = np.zeros((n, n))
+    A = np.zeros((n, n))
     # rows 1..b of ``scratch`` hold one block's a(i,k)+s(i,k), then its new
     # responsibilities, clipped responsibilities and new availabilities;
     # row 0 holds the column sums of the clipped rows before the block
@@ -313,60 +530,75 @@ def message_passing(S: np.ndarray, config: APConfig) -> tuple[np.ndarray, np.nda
         local = np.arange(hi - lo)
         blocks.append((slice(lo, hi), local, local * (n + 1) + lo))
     damping = config.damping
+
+    def send_responsibilities(block, local, diagonal):
+        tmp = scratch[1 : len(local) + 1]
+        R_block = R[block]
+        # the block of S is decoded into tmp twice, for a+s and for s,
+        # so a run holds no second block buffer
+        np.add(S.rows(block.start, block.stop, tmp), A[block], out=tmp)
+        best = np.argmax(tmp, axis=1)
+        first_max = tmp[local, best]
+        tmp[local, best] = -np.inf
+        second_max = tmp.max(axis=1)
+        s_best = S.rows(block.start, block.stop, tmp)[local, best]
+        tmp -= first_max[:, None]
+        tmp[local, best] = s_best - second_max
+        R_block *= damping
+        tmp *= 1.0 - damping
+        R_block += tmp
+        # fold the clipped rows into the running column sums; one
+        # reduce over rows 0..b adds them row by row, in the order of
+        # a whole-matrix sum(axis=0), so the sums are bitwise equal
+        # (numpy buffers the output row that the input overlaps)
+        np.maximum(R_block, 0.0, out=tmp)
+        tmp.flat[diagonal] = R_block.flat[diagonal]
+        fold_from = 1 if block.start == 0 else 0  # the first block has no sums to fold into
+        np.add.reduce(scratch[fold_from : len(local) + 1], axis=0, out=column_sums)
+
+    # the availabilities follow the textbook operation order; a negated
+    # ``tmp -= sums`` could flip zeros' signs
+    def send_availabilities(block, local, diagonal):
+        tmp = scratch[1 : len(local) + 1]
+        R_block = R[block]
+        np.maximum(R_block, 0.0, out=tmp)
+        tmp.flat[diagonal] = R_block.flat[diagonal]
+        np.subtract(sums[None, :], tmp, out=tmp)
+        self_availability = tmp.flat[diagonal]  # fancy indexing copies
+        np.minimum(tmp, 0.0, out=tmp)
+        tmp.flat[diagonal] = self_availability
+        A_block = A[block]
+        A_block *= damping
+        tmp *= 1.0 - damping
+        A_block += tmp
+
+    # one sweep sends a block's availabilities of iteration t, then its
+    # responsibilities of t + 1, while its rows of R and A are in cache;
+    # ``sums`` keeps the column sums of iteration t meanwhile
+    sums = np.empty(n)
+    for entry in blocks:
+        send_responsibilities(*entry)
     previous: tuple[int, ...] | None = None
     stable = 0
     converged = False
-    iteration = 0
     for iteration in range(1, config.max_iterations + 1):
-        fold_from = 1  # the first block has no running sums to fold into
-        for block, local, diagonal in blocks:
-            b = len(local)
-            tmp = scratch[1 : b + 1]
-            R_block = R[block]
-            S_block = S[block]
-            np.add(A[block], S_block, out=tmp)
-            best = np.argmax(tmp, axis=1)
-            first_max = tmp[local, best]
-            tmp[local, best] = -np.inf
-            second_max = tmp.max(axis=1)
-            np.subtract(S_block, first_max[:, None], out=tmp)
-            tmp[local, best] = S_block[local, best] - second_max
-            R_block *= damping
-            tmp *= 1.0 - damping
-            R_block += tmp
-            # fold the clipped rows into the running column sums; one
-            # reduce over rows 0..b adds them row by row, in the order of
-            # a whole-matrix sum(axis=0), so the sums are bitwise equal
-            # (numpy buffers the output row that the input overlaps)
-            np.maximum(R_block, 0.0, out=tmp)
-            tmp.flat[diagonal] = R_block.flat[diagonal]
-            np.add.reduce(scratch[fold_from : b + 1], axis=0, out=column_sums)
-            fold_from = 0
-
-        # the availabilities follow the textbook operation order; a negated
-        # ``tmp -= column_sums`` could flip zeros' signs
-        for block, local, diagonal in blocks:
-            tmp = scratch[1 : len(local) + 1]
-            R_block = R[block]
-            np.maximum(R_block, 0.0, out=tmp)
-            tmp.flat[diagonal] = R_block.flat[diagonal]
-            np.subtract(column_sums[None, :], tmp, out=tmp)
-            self_availability = tmp.flat[diagonal]  # fancy indexing copies
-            np.minimum(tmp, 0.0, out=tmp)
-            tmp.flat[diagonal] = self_availability
-            A_block = A[block]
-            A_block *= damping
-            tmp *= 1.0 - damping
-            A_block += tmp
-
-        exemplars = tuple(np.flatnonzero(R.diagonal() + A.diagonal() > 0.0))
+        sums[:] = column_sums
+        # the self-availabilities of iteration t, by the operations that
+        # the sweep applies to them, so the exemplar set is read first
+        self_availability = A.diagonal() * damping + (sums - R.diagonal()) * (1.0 - damping)
+        exemplars = tuple(np.flatnonzero(R.diagonal() + self_availability > 0.0))
         if exemplars == previous:
             stable += 1
         else:
             stable = 0
         previous = exemplars
-        if exemplars and stable >= _CONVERGENCE_WINDOW - 1:
-            converged = True
+        converged = bool(exemplars) and stable >= _CONVERGENCE_WINDOW - 1
+        last = converged or iteration == config.max_iterations
+        for entry in blocks:
+            send_availabilities(*entry)
+            if not last:
+                send_responsibilities(*entry)
+        if last:
             break
     return R, A, iteration, converged
 
@@ -379,26 +611,26 @@ def run_ap(matrix: SimilarityMatrix, config: APConfig | None = None) -> APResult
     to stabilise comes back with ``converged=False``.
     """
     cfg = config or APConfig()
-    n = len(matrix.words)
-    s = matrix.s
-    # max|s| without an n x n temporary; 1 for an all-zero matrix, and an
-    # empty one gets as far as message passing's size check
-    scale = max(float(s.max(initial=0.0)), -float(s.min(initial=0.0))) or 1.0
-    points = np.arange(n)
-    preferences = s.diagonal().copy()
+    store = matrix.store
+    diagonal = store.diagonal
+    n = len(diagonal)
+    # max|s| over every entry and 0, with no n x n temporary; 1 for an
+    # all-zero matrix, and an empty one gets as far as message passing's
+    # size check
+    scale = max(
+        store.largest(), float(diagonal.max(initial=0.0)), -float(diagonal.min(initial=0.0))
+    ) or 1.0
     try:
-        s[points, points] -= points * (scale * _TIE_BREAK)
+        lowered = store._replace(diagonal=diagonal - np.arange(n) * (scale * _TIE_BREAK))
         with np.errstate(over="raise", invalid="raise"):
-            R, A, iterations, converged = message_passing(s, cfg)
+            R, A, iterations, converged = message_passing(lowered, cfg)
     except FloatingPointError:
         raise ConfigError(
             f"similarities too large for message passing (largest magnitude {scale:g}); "
             "use a preference of smaller magnitude"
         ) from None
-    finally:
-        s[points, points] = preferences
     beliefs = R.diagonal() + A.diagonal()
-    del R, A  # free the messages before the n x exemplars gathers below
+    del R, A  # free the messages before the exemplar similarities are gathered
     exemplar_indices = np.flatnonzero(beliefs > 0.0)
     if exemplar_indices.size == 0:
         raise DegenerateClusteringError(
@@ -406,7 +638,12 @@ def run_ap(matrix: SimilarityMatrix, config: APConfig | None = None) -> APResult
         )
     # ties go to the lowest exemplar index: argmax returns the first maximum
     # and exemplar_indices is ascending
-    assignment = exemplar_indices[np.argmax(matrix.s[:, exemplar_indices], axis=1)]
+    assignment = np.empty(n, dtype=np.intp)
+    size = store.block_rows
+    decoded = np.empty((size, n))
+    for lo in range(0, n, size):
+        block = store.rows(lo, min(lo + size, n), decoded)
+        assignment[lo : lo + size] = exemplar_indices[np.argmax(block[:, exemplar_indices], axis=1)]
     assignment[exemplar_indices] = exemplar_indices
     clusters: list[Cluster] = []
     exemplar_words: list[str] = []
@@ -422,4 +659,3 @@ def run_ap(matrix: SimilarityMatrix, config: APConfig | None = None) -> APResult
         iterations=iterations,
         mode=matrix.mode,
     )
-

@@ -137,14 +137,15 @@ def cmd_train(args) -> int:
             max_points=args.max_points,
         )
         # refuse an oversized lexicon before numpy or any clustering module is loaded
-        config.check_capacity(lexicon.unique_tokens)
+        config.check_capacity(lexicon.unique_tokens, mode)
         from .ap import build_similarity_matrix, run_ap
         from .clusters import write_cluster_report
         try:
             matrix = build_similarity_matrix(lexicon, mode, config)
             result = run_ap(matrix, config)
         except MemoryError:
-            raise MemoryError(f"out of memory: {estimated_peak(lexicon.unique_tokens)}") from None
+            peak = estimated_peak(lexicon.unique_tokens, mode)
+            raise MemoryError(f"out of memory: {peak}") from None
         clusters = result.clusters
         threshold = None
         write_cluster_report(

@@ -21,18 +21,26 @@ MEDIAN = "median"
 
 MEDIAN_PREFERENCE = "median"
 
-# process peak of an AP run in units of n^2 * 8 B: the matrix, R and A, plus
-# the block scratch.  Peak RSS over a 2-word run, `train --max-iter 10` on
-# 3 000 / 6 000 synthetic words: ap-coeff 3.03 / 3.02, ap-median 3.05 /
-# 3.02; the largest, rounded up to the next 0.5
-PEAK_N2 = 3.5
+# process peak of an AP run in units of n^2 * 8 B, per mode: R and A, the
+# similarity store and the block scratch.  Peak RSS over a 2-word run,
+# `train --max-iter 10` at 3 000 / 6 000 words, rounded up to the next 0.5.
+# ap-median stores 2 B per pair, whatever the words: 2.28 / 2.26 on
+# synthetic words.  ap-coeff stores 12 B per pair that shares a gram, and a
+# block of rows as dense float64 once that is smaller, so its store grows
+# with the share d of such pairs up to 1.0 n^2 x 8 B at d = 2/3.  Synthetic
+# words (d = 5-9%) read 2.11 / 2.10, but the demo lexicon has d = 17% and no
+# real lexicon of realistic size has been measured, so ap-coeff's estimate
+# is its bound, every block dense: the synthetic words behind one common
+# prefix read 3.05 / 3.02
+PEAK_N2 = {COEFFICIENT: 3.5, MEDIAN: 2.5}
 
 
-def estimated_peak(n: int) -> str:
-    """The estimated process peak of an AP run over ``n`` words, for messages."""
+def estimated_peak(n: int, mode: str) -> str:
+    """The estimated process peak of an AP run in ``mode`` over ``n`` words, for messages."""
+    peak_n2 = PEAK_N2[mode]
     return (
         f"affinity propagation over {n} words would peak near "
-        f"{PEAK_N2 * n * n * 8 / 2**30:.1f} GiB ({PEAK_N2} x n^2 x 8 B)"
+        f"{peak_n2 * n * n * 8 / 2**30:.1f} GiB ({peak_n2} x n^2 x 8 B)"
     )
 
 
@@ -74,9 +82,10 @@ class APConfig(namedtuple("APConfig", "damping preference max_iterations max_poi
             raise ConfigError("max_points must be at least 2")
         return self
 
-    def check_capacity(self, n: int) -> None:
-        """Refuse an AP run over ``n`` words beyond ``max_points``, naming its peak."""
+    def check_capacity(self, n: int, mode: str) -> None:
+        """Refuse an AP run in ``mode`` over ``n`` words beyond ``max_points``, naming its peak."""
         if n > self.max_points:
             raise CapacityError(
-                f"lexicon has {n} words but max_points={self.max_points}; {estimated_peak(n)}"
+                f"lexicon has {n} words but max_points={self.max_points}; "
+                f"{estimated_peak(n, mode)}"
             )

@@ -219,7 +219,7 @@ def test_criterion_6_capacity_guard_and_scale(tmp_path):
 
     dense_scale = synthetic_lexicon(5_540, seed=7)
     matrix = build_similarity_matrix(dense_scale, COEFFICIENT, APConfig())
-    R, A, _, _ = message_passing(matrix.s, APConfig(max_iterations=2))
+    R, A, _, _ = message_passing(matrix.store, APConfig(max_iterations=2))
     if not (np.isfinite(R).all() and np.isfinite(A).all()):
         failures.append("message matrices not finite at 5540 points")
     peak_bytes = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024

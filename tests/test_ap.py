@@ -72,6 +72,22 @@ def random_similarity(rng, n, low=0.0, high=1.0, preference=None):
     return s
 
 
+# rows per block of message passing and of the stores, capped at n
+_block_rows = st.integers(1, 24)
+
+
+def build_with_block_rows(lexicon, mode, rows):
+    rows = min(rows, len(lexicon.words))
+    with mock.patch.object(ap, "_BLOCK_BYTES", rows * 8 * len(lexicon.words)):
+        return build_similarity_matrix(lexicon, mode)
+
+
+def assert_default_preference(matrix, s):
+    # the diagonal holds np.median of the off-diagonal
+    n = len(s)
+    assert (matrix.s.diagonal() == np.median(s[~np.eye(n, dtype=bool)])).all()
+
+
 def matrix_from(s, mode=COEFFICIENT):
     n = s.shape[0]
     return SimilarityMatrix(words=tuple(f"w{i:02d}" for i in range(n)), s=s, mode=mode)
@@ -134,14 +150,15 @@ class TestConfig:
         stored = getattr(APConfig(**{field: value}), field)
         assert type(stored) is int and stored == value
 
-    def test_capacity_boundary(self):
+    @pytest.mark.parametrize("mode, peak_n2", [(COEFFICIENT, 3.5), (MEDIAN, 2.5)])
+    def test_capacity_boundary(self, mode, peak_n2):
         config = APConfig(max_points=5)
-        assert config.check_capacity(5) is None
+        assert config.check_capacity(5, mode) is None
         with pytest.raises(CapacityError) as err:
-            config.check_capacity(6)
+            config.check_capacity(6, mode)
         assert str(err.value) == (
             "lexicon has 6 words but max_points=5; affinity propagation over 6 words "
-            "would peak near 0.0 GiB (3.5 x n^2 x 8 B)"
+            f"would peak near 0.0 GiB ({peak_n2} x n^2 x 8 B)"
         )
 
 
@@ -207,6 +224,56 @@ class TestSimilarityMatrixType:
         # no words: an empty diagonal has no bad entry
         SimilarityMatrix(words=(), s=s[:0, :0], mode=mode)
 
+    @pytest.mark.parametrize("value, accepted", [(-1.5, True), (-1.25, False), (-0.75, False),
+                                                 (-199.5, True), (-0.25, False)])
+    @pytest.mark.parametrize("side", [2, 256])
+    def test_median_similarities_are_multiples_of_one_half(self, value, accepted, side):
+        # with tiles of side 2 the value sits in an off-diagonal tile
+        s = np.full((5, 5), -3.5)
+        s[0, 4] = s[4, 0] = value
+        s[2, 2] = 0.3  # the preference may be any finite number
+        with mock.patch.object(ap, "_BLOCK_BYTES", side * side * 8):
+            if accepted:
+                assert matrix_from(s, mode=MEDIAN).s.tobytes() == s.tobytes()
+                return
+            # the refusal comes before anything is stored
+            with mock.patch.object(ap._Halves, "from_dense", side_effect=AssertionError):
+                with pytest.raises(ConfigError, match="multiples of 0.5"):
+                    matrix_from(s, mode=MEDIAN)
+
+    @pytest.mark.parametrize("mode, zero", [(COEFFICIENT, 0.0), (MEDIAN, -0.0)])
+    def test_an_off_diagonal_zero_reads_back_as_the_build_writes_it(self, mode, zero):
+        s = np.zeros((3, 3))
+        s[0, 1] = s[1, 0] = s[2, 2] = -0.0
+        for hand_built in (s, -s):
+            expected = np.full((3, 3), zero)
+            np.fill_diagonal(expected, hand_built.diagonal())  # the diagonal keeps its sign
+            assert matrix_from(hand_built, mode=mode).s.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("share", [0.0, 0.3, 0.5, 0.8, 1.0])
+    def test_coefficient_store_never_outgrows_a_dense_matrix(self, share):
+        # a block of rows whose nonzeros, at 12 B each, would take more
+        # room than its 8 B entries is stored dense; blocks of 7 rows, and
+        # about ``share`` of the pairs nonzero
+        n = 64
+        rng = np.random.default_rng(5)
+        s = random_similarity(rng, n, low=0.01)
+        draw = np.triu(rng.random((n, n)), 1)
+        zero = draw + draw.T >= share
+        np.fill_diagonal(zero, False)
+        s[zero] = 0.0
+        with mock.patch.object(ap, "_BLOCK_BYTES", 7 * 8 * n):
+            matrix = matrix_from(s)
+            assert matrix.s.tobytes() == s.tobytes()
+        blocks = matrix.store.blocks
+        stored = sum(
+            block.nbytes if isinstance(block, np.ndarray) else block[0].nbytes + block[1].nbytes
+            for block in blocks
+        )
+        assert stored <= n * n * 8
+        dense = sum(isinstance(block, np.ndarray) for block in blocks)
+        assert dense == {0.0: 0, 0.3: 0, 0.5: 0, 0.8: len(blocks), 1.0: len(blocks)}[share]
+
 
 class TestBuildSimilarityMatrix:
     def test_unknown_mode_rejected(self):
@@ -249,15 +316,15 @@ class TestBuildSimilarityMatrix:
                     assert matrix.s[i, j] == median_offset_distance(lex.words[i], lex.words[j])
 
     @settings(max_examples=60)
-    @given(st.lists(_median_words, min_size=2, max_size=16, unique=True))
-    @example(["ab", "zzzza"])  # median 4 exceeds the shorter length 2
-    @example(["abab", "cdcd"])  # no shared character
-    @example(["a" + "b" * 300, "c" * 250 + "a" + "b" * 60])  # median 250 > 200
+    @given(st.lists(_median_words, min_size=2, max_size=16, unique=True), _block_rows)
+    @example(["ab", "zzzza"], 1)  # median 4 exceeds the shorter length 2
+    @example(["abab", "cdcd"], 2)  # no shared character
+    @example(["a" + "b" * 300, "c" * 250 + "a" + "b" * 60], 2)  # median 250 > 200
     # astral characters are one code point each, as in the scalar definition
-    @example(["\U00020000a\U0001f600", "a\U00020000", "\U0001f600\U0001f600b", "ba\U00020001"])
-    def test_median_matrix_is_scalar_distance_bit_for_bit(self, words):
+    @example(["\U00020000a\U0001f600", "a\U00020000", "\U0001f600\U0001f600b", "ba\U00020001"], 3)
+    def test_median_matrix_is_scalar_distance_bit_for_bit(self, words, rows):
         lex = build_lexicon(words)
-        matrix = build_similarity_matrix(lex, MEDIAN)
+        matrix = build_with_block_rows(lex, MEDIAN, rows)
         expected = np.array(
             [
                 [
@@ -268,6 +335,7 @@ class TestBuildSimilarityMatrix:
             ]
         )
         assert matrix.s.tobytes() == expected.tobytes()
+        assert_default_preference(matrix, expected)
 
     @settings(max_examples=60)
     @given(
@@ -276,14 +344,16 @@ class TestBuildSimilarityMatrix:
                 st.text(st.sampled_from("কখগঘঙচ"[:size]), min_size=2, max_size=10),
                 min_size=2, max_size=24, unique=True,
             )
-        )
+        ),
+        _block_rows,
     )
     # every word shares the prefix, so every posting list of its grams is full
-    @example(["কখগ" + tail for tail in ["", "ঘ", "ঙ", "কখ", "ঘঙচ", "চচ", "খগঘ"]])
-    def test_coefficient_matrix_is_scalar_dice_bit_for_bit(self, words):
+    @example(["কখগ" + tail for tail in ["", "ঘ", "ঙ", "কখ", "ঘঙচ", "চচ", "খগঘ"]], 3)
+    @example(["কখ", "গঘ"], 1)  # no nonzero coefficient at all
+    def test_coefficient_matrix_is_scalar_dice_bit_for_bit(self, words, rows):
         # few letters, so posting lists are long and words share many grams
         lex = build_lexicon(words)
-        matrix = build_similarity_matrix(lex, COEFFICIENT)
+        matrix = build_with_block_rows(lex, COEFFICIENT, rows)
         expected = np.array(
             [
                 [
@@ -294,12 +364,13 @@ class TestBuildSimilarityMatrix:
             ]
         )
         assert matrix.s.tobytes() == expected.tobytes()
+        assert_default_preference(matrix, expected)
 
-    @pytest.mark.parametrize("mode", [COEFFICIENT, MEDIAN])
-    def test_build_peak_is_the_matrix_and_one_row(self, mode):
-        # rows are written as they come and checked in tiles, so a build holds
-        # the matrix plus one row's or one tile's temporaries; the median
-        # preference adds the upper triangle's copy, 0.5 n^2 x 8 B
+    @pytest.mark.parametrize("mode, bound", [(COEFFICIENT, 0.22), (MEDIAN, 0.34)])
+    def test_build_peak_is_the_store_and_one_row(self, mode, bound):
+        # rows go into the store a block at a time, and the median preference
+        # is read from it: coefficient holds 12 B per nonzero, 5.6% of the
+        # pairs here, beside its gram index; median holds 2 B per pair
         n = 1000
         lex = synthetic_lexicon(n, seed=3)
         default = APConfig().preference
@@ -313,23 +384,26 @@ class TestBuildSimilarityMatrix:
                 peaks[preference] = (tracemalloc.get_traced_memory()[1] - start) / (n * n * 8)
         finally:
             tracemalloc.stop()
-        assert peaks[0.0] <= 1.15
-        assert peaks[default] <= 1.6
+        assert peaks[0.0] <= bound
+        assert peaks[default] <= bound
 
+    # each mode's legal values: few, so ties are common, and both signs of zero
+    @pytest.mark.parametrize(
+        "mode, values",
+        [(COEFFICIENT, [-0.0, 0.0, 0.25, 0.5, 1.0]), (MEDIAN, [-0.0, 0.0, -0.5, -3.5, -200.0])],
+    )
     @given(n=st.integers(2, 9), data=st.data())
-    def test_median_preference_is_the_off_diagonal_median(self, n, data):
-        # n(n-1)/2 upper values, odd or even in number; few values, so ties
-        # are common, and both signs of zero
+    def test_median_preference_is_the_off_diagonal_median(self, mode, values, n, data):
+        # n(n-1)/2 upper values, odd or even in number
         m = n * (n - 1) // 2
-        values = st.sampled_from([-0.0, 0.0, 0.25, 1.0, -3.5, -200.0])
-        upper = data.draw(st.lists(values, min_size=m, max_size=m))
+        upper = data.draw(st.lists(st.sampled_from(values), min_size=m, max_size=m))
         s = np.zeros((n, n))
         s[np.triu_indices(n, 1)] = upper
         s.T[np.triu_indices(n, 1)] = upper
         np.fill_diagonal(s, 7.0)  # not read
         expected = np.median(s[~np.eye(n, dtype=bool)])
         # by value: the sign of a zero may differ, which no cluster can see
-        assert ap._median_preference(s) == expected
+        assert ap._median_preference(matrix_from(s, mode).store) == expected
 
     def test_default_preference_leaves_numpy_ma_unloaded(self, tmp_path):
         # np.median imports numpy.ma on its first call
@@ -378,15 +452,22 @@ class TestBuildSimilarityMatrix:
             build_similarity_matrix(lexicon, COEFFICIENT)
         message = str(err.value)
         assert "max_points=20000" in message
-        assert f"{PEAK_N2 * n * n * 8 / 2**30:.1f} GiB" in message
+        assert f"{PEAK_N2[COEFFICIENT] * n * n * 8 / 2**30:.1f} GiB" in message
 
-    @pytest.mark.parametrize("backend", ["ap-coeff", "ap-median"])
-    def test_estimated_peak_bounds_measured_process_peak(self, tmp_path, backend):
+    # a prefix common to every word makes every ap-coeff pair share a gram,
+    # so each block of its store is dense
+    @pytest.mark.parametrize(
+        "backend, mode, prefix",
+        [("ap-coeff", COEFFICIENT, ""), ("ap-coeff", COEFFICIENT, "কখ"), ("ap-median", MEDIAN, "")],
+        ids=["ap-coeff", "ap-coeff-common-prefix", "ap-median"],
+    )
+    def test_estimated_peak_bounds_measured_process_peak(self, tmp_path, backend, mode, prefix):
         # the guard's estimate must cover what a run really takes: peak RSS
         # of `train` at 3 000 words over that of a 2-word run
         n = 3000
 
         def peak_bytes(lexicon):
+            lexicon = build_lexicon([prefix + word for word in lexicon.words])
             path = tmp_path / f"lexicon-{len(lexicon.words)}.txt"
             write_lexicon(lexicon, path)
             command = [sys.executable, "-m", "stemcluster", "train", str(path),
@@ -404,7 +485,7 @@ class TestBuildSimilarityMatrix:
 
         base = peak_bytes(synthetic_lexicon(2, seed=3))
         peak = peak_bytes(synthetic_lexicon(n, seed=3))
-        assert peak - base <= PEAK_N2 * n * n * 8
+        assert peak - base <= PEAK_N2[mode] * n * n * 8
 
     def test_too_few_words_rejected(self):
         with pytest.raises(ConfigError):
@@ -457,7 +538,7 @@ class TestRunAP:
         matrix = matrix_from(s)
         with pytest.raises(ConfigError, match="too large"):
             run_ap(matrix)
-        assert np.array_equal(matrix.s, s)  # the diagonal is restored
+        assert np.array_equal(matrix.s, s)  # the tie-break lowered a copy of the diagonal
 
     def test_degenerate_when_no_exemplar_emerges(self):
         matrix = matrix_from(np.array([[0.1, 0.9], [0.9, 0.1]]))
@@ -493,7 +574,7 @@ class TestRunAP:
 
     def test_leaves_the_matrix_unchanged(self):
         s = random_similarity(np.random.default_rng(29), 9)
-        s[2, 2] = -0.0  # a zero's sign survives the restore
+        s[2, 2] = -0.0  # the diagonal keeps a zero's sign
         matrix = matrix_from(s)
         before = matrix.s.tobytes()
         run_ap(matrix)
@@ -504,7 +585,9 @@ class TestRunAP:
         before = matrix.s.tobytes()
 
         def fail(S, *args):
-            assert S is matrix.s  # the tie-break is applied in place
+            # the tie-break lowers a copy of the diagonal and shares the rest
+            assert S.diagonal is not matrix.store.diagonal
+            assert S.blocks is matrix.store.blocks
             raise KeyboardInterrupt
 
         with mock.patch.object(ap, "message_passing", fail):
@@ -565,8 +648,13 @@ class TestMessagePassing:
             message_passing(np.zeros((1, 1)), APConfig())
 
     # rows per block: fixed counts, capped at n, and n - 1, which leaves a
-    # last block of one row; 40 rows in blocks of 7 end in a block of 5
-    @pytest.mark.parametrize("block_rows", [1, 2, 7, "n-1", "n"])
+    # last block of one row; 40 rows in blocks of 7 end in a block of 5.
+    # S is a raw array, or each mode's store of a hand-built matrix
+    @pytest.mark.parametrize(
+        "source, block_rows",
+        [*(("dense", rows) for rows in [1, 2, 7, "n-1", "n"]),
+         *((mode, rows) for mode in [COEFFICIENT, MEDIAN] for rows in [1, 2, "n-1", "n"])],
+    )
     @settings(max_examples=60)
     @given(
         st.integers(2, 40),
@@ -578,7 +666,7 @@ class TestMessagePassing:
     @example(n=40, kind="ties", seed=1, damping=0.9)
     @example(n=17, kind="spread", seed=2, damping=0.5)
     def test_in_place_updates_equal_textbook_oracle_bitwise(
-        self, block_rows, n, kind, seed, damping
+        self, source, block_rows, n, kind, seed, damping
     ):
         rng = np.random.default_rng(seed)
         if kind == "constant":
@@ -589,11 +677,25 @@ class TestMessagePassing:
             else:
                 values = rng.uniform(-5.0, 5.0, size=(n, n))
             s = values + values.T
-        s_bytes = s.tobytes()
+        if source == COEFFICIENT:
+            # in [0, 1], and zero wherever a symmetric mask says so
+            mask = rng.random((n, n)) < 0.7
+            s = np.where(mask | mask.T, 0.0, np.abs(s) / 10)
+        elif source == MEDIAN:
+            s = -np.abs(np.round(s * 2) / 2)  # multiples of 0.5 in [-10, 0]
         rows = {"n-1": max(n - 1, 1), "n": n}.get(block_rows, block_rows)
+        config = APConfig(damping=damping)
         with mock.patch.object(ap, "_BLOCK_BYTES", rows * 8 * n):
-            R, A, iterations, converged = message_passing(s, APConfig(damping=damping))
-        assert s.tobytes() == s_bytes
+            if source == "dense":
+                s_bytes = s.tobytes()
+                R, A, iterations, converged = message_passing(s, config)
+                assert s.tobytes() == s_bytes
+            else:
+                matrix = matrix_from(s, mode=source)
+                R, A, iterations, converged = message_passing(matrix.store, config)
+                # the oracle reads the matrix as stored, where zeros keep no sign
+                assert np.array_equal(matrix.s, s)
+                s = matrix.s
         R_oracle, A_oracle, oracle_iterations, oracle_converged = message_passing_oracle(
             s, damping=damping
         )
@@ -606,7 +708,8 @@ class TestMessagePassing:
         # large enough that the block scratch, about 512 KiB, is a small
         # share of one n x n array
         n = 1000
-        matrix = matrix_from(random_similarity(np.random.default_rng(4), n))
+        s = random_similarity(np.random.default_rng(4), n)
+        matrix = matrix_from(s)
         config = APConfig(max_iterations=20)
 
         def peak_n2(call):
@@ -617,13 +720,13 @@ class TestMessagePassing:
 
         tracemalloc.start()
         try:
-            # R, A and the block scratch; run_ap works on the matrix in place
-            passing = peak_n2(lambda: message_passing(matrix.s, config))
+            # R, A and the block scratch, into which run_ap decodes the store
+            passing = peak_n2(lambda: message_passing(s, config))
             run = peak_n2(lambda: run_ap(matrix, config))
         finally:
             tracemalloc.stop()
-        assert passing <= 2.1
-        assert run <= 2.1
+        assert passing <= 2.09
+        assert run <= 2.09
 
         # every point an exemplar: the n x exemplars gathers of the
         # assignment step must not stack on R and A
@@ -635,7 +738,7 @@ class TestMessagePassing:
         finally:
             tracemalloc.stop()
         assert len(results[0].exemplars) == n
-        assert run <= 2.1
+        assert run <= 2.09
 
 
 class TestApStats:
