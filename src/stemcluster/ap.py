@@ -6,27 +6,21 @@ in [0, 1]) or ``median`` (negated median character-offset distance,
 values in [-200, 0] in steps of 0.5).  The diagonal carries the
 preference; higher preferences buy more clusters.
 
-No n x n float64 similarity array is kept.  Each mode has a compact
-store beside a float64 diagonal vector:
-- coefficient: an entry is nonzero only where two words share a gram,
-  so the store keeps, per block of rows, each off-diagonal nonzero as
-  an int32 flat position inside the block and a float64 value, 12 B
-  each, every other entry being 0.0.  A block whose nonzeros would take
-  more room than its dense float64 rows (more than 2/3 of its entries)
-  is kept dense instead, so the store never outgrows the dense matrix.
-  The share of nonzero pairs decides what it saves: 5-9% on the
-  synthetic lexicons of the tests and the benchmark (0.08-0.14
-  n^2 x 8 B), 17% on the 48-word demo lexicon, and 100% when every
-  word carries one common prefix (1.0 n^2 x 8 B).  No real lexicon of
-  realistic size has been measured;
-- median: every off-diagonal entry s is held as the int16 q = -2 s in
-  [0, 400], 2 B each, whatever the words; q = 0 reads back as -0.0, as
-  the measure writes it.
-Message passing and the assignment step decode one block of rows at a
-time into a float64 scratch, so every value they read is the float64
-the measure computed.  The median preference comes from the store with
-no dense copy: from the zero count and a copy of the nonzeros above the
-diagonal in coefficient mode, from a 401-bin count of q in median mode.
+No n x n float64 similarity array is kept.  Each mode fills a compact
+store beside a float64 diagonal vector: ``_Nonzeros`` holds the
+coefficient mode's off-diagonal nonzeros, 12 B each, ``_Halves`` every
+median entry as an int16, 2 B each.  The coefficient store saves what
+the share of nonzero pairs allows: 5-9% on the synthetic lexicons of
+the tests and the benchmark (0.08-0.14 n^2 x 8 B), 17% on the 48-word
+demo lexicon, and 100% when every word carries one common prefix
+(1.0 n^2 x 8 B).  No real lexicon of realistic size has been measured.
+
+A store is read two ways only.  ``rows`` decodes one block of
+``block_rows`` rows into a float64 buffer, so every value a reader sees
+is the float64 the measure computed.  ``median`` gives the default
+preference from the store, with no dense copy.  Message passing decodes
+into its own scratch; the tie-break scale, the exemplar assignment and
+``SimilarityMatrix.s`` read the one decode loop ``_decoded``.
 
 Each mode is a generator over the lexicon's rows, filled straight into
 its store.  A coefficient row holds word i's nonzero similarities to
@@ -59,12 +53,8 @@ equals it bit for bit (the tests keep the scalar form as an oracle).
 Temporaries stay at one [n, m] block per row, m being the row word's
 distinct-character count.
 
-``SimilarityMatrix(words, s, mode)`` takes a hand-built dense ``s``,
-checks symmetry, range and, in median mode, the steps of 0.5 in one
-pass over square tiles of the upper triangle, each of ``_BLOCK_BYTES``
-and compared with its mirror tile, so the check adds no n x n
-temporary, and then encodes it into the mode's store.  The build fills
-the store directly and skips the check.
+``SimilarityMatrix`` checks a hand-built dense matrix before it encodes
+it; the build fills the store directly and skips the check.
 
 Every point starts as a potential exemplar.  Each iteration sends
 responsibilities
@@ -213,22 +203,15 @@ class _Nonzeros(namedtuple("_Nonzeros", "diagonal block_rows blocks")):
 
         return cls.from_rows(s.diagonal().copy(), rows())
 
-    def values(self) -> Iterator[np.ndarray]:
-        """Each block's values: its nonzeros, or the dense block."""
-        for stored in self.blocks:
-            yield stored if isinstance(stored, np.ndarray) else stored[1]
-
-    def largest(self) -> float:
-        """max |s| over the off-diagonal and 0."""
-        return max((float(values.max(initial=0.0)) for values in self.values()), default=0.0)
-
-    def ranked(self, ranks: list[int]) -> np.ndarray:
-        """The upper triangle's values at the given ranks, in ascending order."""
+    def median(self) -> float:
+        """``np.median`` of the off-diagonal, from its zero count and its nonzeros."""
         # each nonzero is stored as (i, j) and (j, i), so the upper triangle
         # holds half of them, gathered block by block into one array; the
         # zeros come before them
         n = len(self.diagonal)
-        upper = np.empty(sum(map(np.count_nonzero, self.values())) // 2)
+        ranks = _middle_ranks(n)
+        stored_values = (b if isinstance(b, np.ndarray) else b[1] for b in self.blocks)
+        upper = np.empty(sum(map(np.count_nonzero, stored_values)) // 2)
         filled = 0
         for lo, stored in zip(range(0, n, self.block_rows), self.blocks):
             if isinstance(stored, np.ndarray):
@@ -243,7 +226,7 @@ class _Nonzeros(namedtuple("_Nonzeros", "diagonal block_rows blocks")):
         picks = [rank - zeros for rank in ranks if rank >= zeros]
         if picks:
             upper.partition(picks)
-        return np.array([upper[rank - zeros] if rank >= zeros else 0.0 for rank in ranks])
+        return np.array([upper[rank - zeros] if rank >= zeros else 0.0 for rank in ranks]).mean()
 
     def rows(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
         """Rows lo..hi, a whole block from its first row, decoded into ``out``."""
@@ -283,12 +266,8 @@ class _Halves(namedtuple("_Halves", "diagonal halves")):
     def block_rows(self) -> int:
         return _block_rows(len(self.diagonal))
 
-    def largest(self) -> float:
-        """max |s| over the off-diagonal and 0."""
-        return float(self.halves.max(initial=0)) / 2
-
-    def ranked(self, ranks: list[int]) -> np.ndarray:
-        """The upper triangle's values at the given ranks, in ascending order."""
+    def median(self) -> float:
+        """``np.median`` of the off-diagonal, from a 401-bin count of q."""
         # whole blocks of rows count each off-diagonal entry twice and the
         # diagonal's n zeros once; ascending s is descending q
         n = len(self.diagonal)
@@ -299,7 +278,8 @@ class _Halves(namedtuple("_Halves", "diagonal halves")):
         counts[0] -= n
         counts //= 2
         at_least = np.cumsum(counts[::-1])
-        return (_FAR_HALVES - np.searchsorted(at_least, ranks, side="right")) * -0.5
+        q = _FAR_HALVES - np.searchsorted(at_least, _middle_ranks(n), side="right")
+        return (q * -0.5).mean()
 
     def rows(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
         """Rows lo..hi decoded into ``out``."""
@@ -313,15 +293,18 @@ class _Halves(namedtuple("_Halves", "diagonal halves")):
 class SimilarityMatrix(namedtuple("SimilarityMatrix", "words store mode")):
     """Similarities over ``words``, one row per word, in the mode's store.
 
-    ``SimilarityMatrix(words, s, mode)`` checks a dense n x n ``s`` and
-    encodes it.  ``s`` must be square, symmetric, and hold off-diagonal
+    ``SimilarityMatrix(words, s, mode)`` checks its words and a dense
+    n x n ``s``, and encodes ``s``.  The words must be pairwise distinct
+    strings.  ``s`` must be square, symmetric, and hold off-diagonal
     similarities in the mode's closed range: [0, 1] for ``coefficient``,
     [-200, 0] for ``median``, where each must also be a multiple of 0.5.
     The diagonal holds the preference: any finite number, not
     range-checked.  A nan anywhere breaks a rule.  A broken rule raises
     ``ConfigError`` before anything is stored.  A matrix breaking several
     rules reports whichever fault comes first in tile order, row of tiles
-    by row of tiles.  The record keeps no reference to ``s``.  An
+    by row of tiles: the check is one pass over square tiles of the upper
+    triangle, each compared with its mirror, so it adds no n x n
+    temporary.  The record keeps no reference to ``s``.  An
     off-diagonal zero keeps no sign: it reads back as the build writes
     it, +0.0 in coefficient mode and -0.0 in median mode.  The store
     takes at most n^2 x 8 B, as much as ``s``: the median store 2 B per
@@ -336,10 +319,11 @@ class SimilarityMatrix(namedtuple("SimilarityMatrix", "words store mode")):
 
     def __new__(cls, words: tuple[str, ...], s: np.ndarray, mode: str):
         words = tuple(words)
+        if not all(isinstance(word, str) for word in words) or len(set(words)) < len(words):
+            raise ConfigError("similarity matrix words must be pairwise distinct strings")
         s = np.asarray(s, dtype=np.float64)
         n = len(words)
-        if mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+        _, store, (low, high) = _mode(mode)
         if s.shape != (n, n):
             raise ConfigError(f"similarity matrix must be {n}x{n}, got {s.shape}")
         diagonal = s.diagonal()
@@ -349,7 +333,6 @@ class SimilarityMatrix(namedtuple("SimilarityMatrix", "words store mode")):
         if n and not (math.isfinite(diagonal.min()) and math.isfinite(diagonal.max())):
             raise ConfigError("the diagonal of a similarity matrix holds the preference, "
                               "which must be a finite number")
-        _, store, (low, high) = _MODES[mode]
         # each tile of the upper triangle equals its mirror, so its range is
         # the lower triangle's too; the preference on the diagonal is left out
         side = math.isqrt(_BLOCK_BYTES // 8)
@@ -371,9 +354,8 @@ class SimilarityMatrix(namedtuple("SimilarityMatrix", "words store mode")):
     def s(self) -> np.ndarray:
         n = len(self.words)
         s = np.empty((n, n))
-        size = self.store.block_rows
-        for lo in range(0, n, size):
-            self.store.rows(lo, min(lo + size, n), s[lo:])
+        for lo, block in _decoded(self.store):
+            s[lo : lo + len(block)] = block
         return s
 
 
@@ -392,29 +374,23 @@ def build_similarity_matrix(
     cfg = config or APConfig()
     words = lexicon.words
     n = len(words)
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+    measure, store, _ = _mode(mode)
     cfg.check_capacity(n, mode)
     if n < 2:
         raise ConfigError("similarity matrix needs at least 2 words")
-    measure, store, _ = _MODES[mode]
     store = store.from_rows(np.zeros(n), measure(words))
     preference = cfg.preference
     if preference == MEDIAN_PREFERENCE:
-        preference = _median_preference(store)
+        preference = store.median()
     store.diagonal[:] = preference
     return SimilarityMatrix._make((words, store, mode))
 
 
-def _median_preference(store) -> float:
-    """``np.median`` of the off-diagonal of the store's symmetric matrix.
-
-    Each off-diagonal value occurs twice, so the off-diagonal's two middle
-    values are the upper triangle's ranks (m-1)//2 and m//2, m = n(n-1)/2.
-    """
-    n = len(store.diagonal)
+def _middle_ranks(n: int) -> list[int]:
+    """The upper triangle's ranks of the off-diagonal's two middle values:
+    each of its m = n(n-1)/2 values occurs twice in the off-diagonal."""
     m = n * (n - 1) // 2
-    return store.ranked([(m - 1) // 2, m // 2]).mean()
+    return [(m - 1) // 2, m // 2]
 
 
 def _coefficient_rows(words) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -484,6 +460,22 @@ _MODES = {
 MODES = tuple(_MODES)
 
 
+def _mode(mode: str) -> tuple:
+    """The mode's entry in ``_MODES``."""
+    if mode not in MODES:
+        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+    return _MODES[mode]
+
+
+def _decoded(store) -> Iterator[tuple[int, np.ndarray]]:
+    """(lo, rows lo..) of each block of the store, decoded into one buffer."""
+    n = len(store.diagonal)
+    size = store.block_rows
+    buffer = np.empty((size, n))
+    for lo in range(0, n, size):
+        yield lo, store.rows(lo, min(lo + size, n), buffer)
+
+
 class _Dense(namedtuple("_Dense", "s")):
     """A raw n x n float64 array, read as message passing reads a store."""
 
@@ -503,18 +495,20 @@ class _Dense(namedtuple("_Dense", "s")):
 def message_passing(S, config: APConfig) -> tuple[np.ndarray, np.ndarray, int, bool]:
     """Iterate the damped updates on a similarity matrix.
 
-    ``S`` is a raw n x n array, only read, or the store of a
+    ``S`` is an n x n array-like, only read, or the store of a
     ``SimilarityMatrix``, decoded one block of rows at a time.  Returns
     (R, A, iterations run, converged).  Convergence means a non-empty
     exemplar set unchanged over ``_CONVERGENCE_WINDOW`` consecutive
     iterations.
     """
-    dense = isinstance(S, np.ndarray)
-    n = S.shape[0] if dense else len(S.diagonal)
-    if (dense and S.shape != (n, n)) or n < 2:
-        raise ConfigError("message passing needs a square matrix over at least 2 points")
-    if dense:
+    if isinstance(S, (_Nonzeros, _Halves)):
+        n = len(S.diagonal)
+    else:
         S = _Dense(np.asarray(S, dtype=np.float64))
+        shape = S.s.shape
+        n = shape[0] if len(shape) == 2 and shape[0] == shape[1] else 0
+    if n < 2:
+        raise ConfigError("message passing needs a square matrix over at least 2 points")
     size = S.block_rows
     R = np.zeros((n, n))
     A = np.zeros((n, n))
@@ -614,11 +608,11 @@ def run_ap(matrix: SimilarityMatrix, config: APConfig | None = None) -> APResult
     store = matrix.store
     diagonal = store.diagonal
     n = len(diagonal)
-    # max|s| over every entry and 0, with no n x n temporary; 1 for an
-    # all-zero matrix, and an empty one gets as far as message passing's
-    # size check
+    # max|s| over every entry, with no n x n temporary; 1 for an all-zero
+    # matrix, and an empty one gets as far as message passing's size check
     scale = max(
-        store.largest(), float(diagonal.max(initial=0.0)), -float(diagonal.min(initial=0.0))
+        (max(float(block.max()), -float(block.min())) for _, block in _decoded(store)),
+        default=0.0,
     ) or 1.0
     try:
         lowered = store._replace(diagonal=diagonal - np.arange(n) * (scale * _TIE_BREAK))
@@ -639,11 +633,10 @@ def run_ap(matrix: SimilarityMatrix, config: APConfig | None = None) -> APResult
     # ties go to the lowest exemplar index: argmax returns the first maximum
     # and exemplar_indices is ascending
     assignment = np.empty(n, dtype=np.intp)
-    size = store.block_rows
-    decoded = np.empty((size, n))
-    for lo in range(0, n, size):
-        block = store.rows(lo, min(lo + size, n), decoded)
-        assignment[lo : lo + size] = exemplar_indices[np.argmax(block[:, exemplar_indices], axis=1)]
+    for lo, block in _decoded(store):
+        assignment[lo : lo + len(block)] = exemplar_indices[
+            np.argmax(block[:, exemplar_indices], axis=1)
+        ]
     assignment[exemplar_indices] = exemplar_indices
     clusters: list[Cluster] = []
     exemplar_words: list[str] = []

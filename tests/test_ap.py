@@ -210,6 +210,14 @@ class TestSimilarityMatrixType:
         with pytest.raises(ConfigError):
             matrix_from(np.zeros((2, 2)), mode="euclidean")
 
+    @pytest.mark.parametrize("words", [("a", "a"), (1, 2), ("a", None), ("a", b"b")])
+    @pytest.mark.parametrize("mode, store", [(COEFFICIENT, "_Nonzeros"), (MEDIAN, "_Halves")])
+    def test_rejects_words_that_are_not_distinct_strings(self, words, mode, store):
+        # refused before the store is built, not after a whole run
+        with mock.patch.object(getattr(ap, store), "from_dense", side_effect=AssertionError):
+            with pytest.raises(ConfigError, match="pairwise distinct strings"):
+                SimilarityMatrix(words=words, s=np.zeros((2, 2)), mode=mode)
+
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("point", [0, 1, 2])
     @pytest.mark.parametrize("mode", [COEFFICIENT, MEDIAN])
@@ -403,7 +411,7 @@ class TestBuildSimilarityMatrix:
         np.fill_diagonal(s, 7.0)  # not read
         expected = np.median(s[~np.eye(n, dtype=bool)])
         # by value: the sign of a zero may differ, which no cluster can see
-        assert ap._median_preference(matrix_from(s, mode).store) == expected
+        assert matrix_from(s, mode).store.median() == expected
 
     def test_default_preference_leaves_numpy_ma_unloaded(self, tmp_path):
         # np.median imports numpy.ma on its first call
@@ -595,6 +603,39 @@ class TestRunAP:
                 run_ap(matrix)
         assert matrix.s.tobytes() == before
 
+    # an off-diagonal maximum, a dominating preference, and an all-zero
+    # matrix, whose scale falls back to 1
+    @pytest.mark.parametrize(
+        "mode, extreme, preference",
+        [(COEFFICIENT, 1.0, 0.25), (MEDIAN, -200.0, -3.0),
+         (COEFFICIENT, 0.5, 5.0), (MEDIAN, -3.5, -300.0),
+         (COEFFICIENT, 0.0, 0.0), (MEDIAN, 0.0, 0.0)],
+    )
+    def test_tie_break_lowers_point_k_by_k_times_the_scale(self, mode, extreme, preference):
+        n = 7
+        rng = np.random.default_rng(41)
+        s = random_similarity(rng, n, *sorted([0.0, extreme]), preference=preference)
+        if mode == MEDIAN:
+            s = np.round(s * 2) / 2  # multiples of 0.5 in [extreme, 0]
+        s[2, 5] = s[5, 2] = extreme
+        matrix = matrix_from(s, mode)
+        received = []
+
+        class Received(Exception):
+            pass
+
+        def capture(S, config):
+            received.append(S)
+            raise Received
+
+        with mock.patch.object(ap, "message_passing", capture):
+            with pytest.raises(Received):
+                run_ap(matrix)
+        scale = np.abs(matrix.s).max() or 1.0
+        expected = matrix.s.diagonal() - np.arange(n) * (scale * ap._TIE_BREAK)
+        assert received[0].diagonal.tobytes() == expected.tobytes()
+        assert scale == {1.0: 1.0, -200.0: 200.0, 0.5: 5.0, -3.5: 300.0, 0.0: 1.0}[extreme]
+
     def test_read_only_matrix_runs(self):
         s = random_similarity(np.random.default_rng(37), 8)
         s.flags.writeable = False
@@ -646,6 +687,17 @@ class TestMessagePassing:
     def test_rejects_single_point(self):
         with pytest.raises(ConfigError):
             message_passing(np.zeros((1, 1)), APConfig())
+
+    def test_takes_any_array_like(self):
+        s = [[0.5, 0.9, -0.25], [0.9, 0.5, 0.0], [-0.25, 0.0, 0.5]]
+        from_list = message_passing(s, APConfig())
+        from_array = message_passing(np.array(s), APConfig())
+        assert from_list[2:] == from_array[2:]
+        assert from_list[0].tobytes() == from_array[0].tobytes()
+        assert from_list[1].tobytes() == from_array[1].tobytes()
+        for not_square in ([0.5, 0.9], [s, s], 0.5, [[0.5, 0.9]]):
+            with pytest.raises(ConfigError, match="square matrix"):
+                message_passing(not_square, APConfig())
 
     # rows per block: fixed counts, capped at n, and n - 1, which leaves a
     # last block of one row; 40 rows in blocks of 7 end in a block of 5.
