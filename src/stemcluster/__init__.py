@@ -2,7 +2,7 @@
 
 Two backends over a shared preprocessing pipeline: greedy threshold
 clustering on character n-gram dice similarity, and from-scratch affinity
-propagation over a dense similarity matrix (dice or median-offset mode).
+propagation over a compact similarity store (dice or median-offset mode).
 Each cluster's stem is its shortest member.
 
 ``import stemcluster`` loads no submodule.  ``_HOMES`` maps each public

@@ -18,8 +18,10 @@ demo lexicon, and 100% when every word carries one common prefix
 A store is read two ways only.  ``rows`` decodes one block of
 ``block_rows`` rows into a float64 buffer, so every value a reader sees
 is the float64 the measure computed.  ``median`` gives the default
-preference from the store, with no dense copy.  Message passing decodes
-into its own scratch; the tie-break scale, the exemplar assignment and
+preference from the store, with no dense copy.  ``block_rows`` is
+fixed when the store is built, by ``_BLOCK_BYTES`` then.  Message
+passing decodes into its own scratch, and copies a raw array's rows
+there; the tie-break scale, the exemplar assignment and
 ``SimilarityMatrix.s`` read the one decode loop ``_decoded``.
 
 Each mode is a generator over the lexicon's rows, filled straight into
@@ -32,9 +34,9 @@ i's grams; profiles are sets, so no gram is counted twice.  One
 the nonzero ones into the same float64 values as the word-level
 ``dice``; 2C/(A+B) is symmetric, bit for bit.  The rows of one block
 are joined into its store entry before the next block's are computed.
-A median row holds word i's similarities to the words after it, and is
-mirrored below the diagonal.  A build holds the store plus one block's
-temporaries.
+A median row holds word i's similarities to the words after it, as the
+half units q = -2 s its store keeps, and is mirrored below the
+diagonal.  A build holds the store plus one block's temporaries.
 
 The median measure of two words is the median absolute difference of
 the first-occurrence positions of the characters they share, negated so
@@ -47,9 +49,10 @@ character of the lexicon's alphabet; it is filled from the code-point
 array that ``ngrams.gram_index`` reads, with no loop per word.  Row i
 gathers only the columns of its own distinct characters against the
 later words, takes absolute position offsets, sorts them along that
-short axis and reads the median of the shared ones; the far-distance
-rules then apply exactly as in the scalar definition, so every entry
-equals it bit for bit (the tests keep the scalar form as an oracle).
+short axis and adds the two middle shared ones: q, twice the median.
+The far rules are integer tests, q above twice the shorter length or
+above 400, and decoded as q x -0.5 every entry equals the scalar
+definition bit for bit (the tests keep the scalar form as an oracle).
 Temporaries stay at one [n, m] block per row, m being the row word's
 distinct-character count.
 
@@ -71,10 +74,11 @@ exemplar set {k : r(k,k) + a(k,k) > 0} has been stable for
 ``_CONVERGENCE_WINDOW`` iterations, or at the ``APConfig`` iteration cap.
 
 ``message_passing`` allocates R, A and one (B+1) x n scratch once,
-before the loop; B is the number of rows that fit in ``_BLOCK_BYTES``
-(at least 1, at most n).  Each iteration is one sweep over blocks of B
-rows, which sends a block's availabilities of iteration t and then its
-responsibilities of t+1 while its rows of R and A are in cache.  The
+before the loop; B is the store's ``block_rows`` or, for a raw array,
+the number of rows that fit in ``_BLOCK_BYTES`` (at least 1, at most
+n).  Each iteration is one sweep over blocks of B rows, which sends a
+block's availabilities of iteration t and then its responsibilities of
+t+1 while its rows of R and A are in cache.  The
 availabilities clip the block's responsibilities into scratch rows 1..B
 and subtract them from the column sums of iteration t, then blend into
 A.  The responsibilities decode the block of S into those rows, add
@@ -241,30 +245,26 @@ class _Nonzeros(namedtuple("_Nonzeros", "diagonal block_rows blocks")):
         return _with_diagonal(block, lo, self.diagonal)
 
 
-class _Halves(namedtuple("_Halves", "diagonal halves")):
+class _Halves(namedtuple("_Halves", "diagonal block_rows halves")):
     """Median similarities: the diagonal, and every off-diagonal entry s as
     the int16 q = -2 s in [0, 400] of an n x n ``halves``, whose own
-    diagonal is 0 and unread."""
+    diagonal is 0 and unread; read in blocks of ``block_rows`` rows."""
 
     __slots__ = ()
 
     @classmethod
     def from_rows(cls, diagonal: np.ndarray, rows) -> _Halves:
-        """From each row's similarities to the later words, in row order."""
+        """From each row's q to the later words, in row order."""
         n = len(diagonal)
         halves = np.zeros((n, n), dtype=np.int16)
         for i, row in enumerate(rows):
-            np.multiply(row, -2.0, out=halves[i, i + 1 :], casting="unsafe")
+            halves[i, i + 1 :] = row
             halves[i + 1 :, i] = halves[i, i + 1 :]
-        return cls(diagonal, halves)
+        return cls(diagonal, _block_rows(n), halves)
 
     @classmethod
     def from_dense(cls, s: np.ndarray) -> _Halves:
-        return cls.from_rows(s.diagonal().copy(), (row[i + 1 :] for i, row in enumerate(s)))
-
-    @property
-    def block_rows(self) -> int:
-        return _block_rows(len(self.diagonal))
+        return cls.from_rows(s.diagonal().copy(), (row[i + 1 :] * -2.0 for i, row in enumerate(s)))
 
     def median(self) -> float:
         """``np.median`` of the off-diagonal, from a 401-bin count of q."""
@@ -440,15 +440,11 @@ def _median_rows(words) -> Iterator[np.ndarray]:
         shared = np.count_nonzero(offsets < longest, axis=1)
         flat = offsets.ravel()
         starts = np.arange(0, flat.size, len(cols))
-        low = flat[starts + np.maximum(shared - 1, 0) // 2]
-        high = flat[starts + shared // 2]
-        distance = (low + high) / 2
-        far = (
-            (shared == 0)
-            | (distance > np.minimum(lengths[i], lengths[i + 1 :]))
-            | (distance > FAR_DISTANCE)
-        )
-        yield np.where(far, -FAR_DISTANCE, -distance)
+        # twice the median; a row that shares nothing reads two offsets
+        # against ``absent``, beyond twice any length
+        q = flat[starts + np.maximum(shared - 1, 0) // 2] + flat[starts + shared // 2]
+        far = (q > 2 * np.minimum(lengths[i], lengths[i + 1 :])) | (q > _FAR_HALVES)
+        yield np.where(far, _FAR_HALVES, q)
 
 
 # per mode: the rows of its measure, the store they fill, and the closed
@@ -476,40 +472,33 @@ def _decoded(store) -> Iterator[tuple[int, np.ndarray]]:
         yield lo, store.rows(lo, min(lo + size, n), buffer)
 
 
-class _Dense(namedtuple("_Dense", "s")):
-    """A raw n x n float64 array, read as message passing reads a store."""
-
-    __slots__ = ()
-
-    @property
-    def block_rows(self) -> int:
-        return _block_rows(len(self.s))
-
-    def rows(self, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
-        """Rows lo..hi copied into ``out``."""
-        block = out[: hi - lo]
-        np.copyto(block, self.s[lo:hi])
-        return block
-
-
 def message_passing(S, config: APConfig) -> tuple[np.ndarray, np.ndarray, int, bool]:
     """Iterate the damped updates on a similarity matrix.
 
-    ``S`` is an n x n array-like, only read, or the store of a
-    ``SimilarityMatrix``, decoded one block of rows at a time.  Returns
-    (R, A, iterations run, converged).  Convergence means a non-empty
-    exemplar set unchanged over ``_CONVERGENCE_WINDOW`` consecutive
-    iterations.
+    ``S`` is an n x n array-like of finite numbers, only read, or the
+    store of a ``SimilarityMatrix``, decoded one block of rows at a time.
+    Returns (R, A, iterations run, converged).  Convergence means a
+    non-empty exemplar set unchanged over ``_CONVERGENCE_WINDOW``
+    consecutive iterations.
     """
     if isinstance(S, (_Nonzeros, _Halves)):
-        n = len(S.diagonal)
+        n, size, rows = len(S.diagonal), S.block_rows, S.rows
     else:
-        S = _Dense(np.asarray(S, dtype=np.float64))
-        shape = S.s.shape
-        n = shape[0] if len(shape) == 2 and shape[0] == shape[1] else 0
+        s = np.asarray(S, dtype=np.float64)
+        n = len(s) if s.ndim == 2 and s.shape == (len(s), len(s)) else 0
+        # min and max, as in ``SimilarityMatrix``: no n x n temporary
+        if n and not (math.isfinite(s.min()) and math.isfinite(s.max())):
+            raise ConfigError("a similarity matrix for message passing must hold finite numbers")
+        size = _block_rows(n)
+
+        def rows(lo, hi, out):
+            # a copy, not a view: the second read must refill the scratch
+            block = out[: hi - lo]
+            np.copyto(block, s[lo:hi])
+            return block
+
     if n < 2:
         raise ConfigError("message passing needs a square matrix over at least 2 points")
-    size = S.block_rows
     R = np.zeros((n, n))
     A = np.zeros((n, n))
     # rows 1..b of ``scratch`` hold one block's a(i,k)+s(i,k), then its new
@@ -530,12 +519,12 @@ def message_passing(S, config: APConfig) -> tuple[np.ndarray, np.ndarray, int, b
         R_block = R[block]
         # the block of S is decoded into tmp twice, for a+s and for s,
         # so a run holds no second block buffer
-        np.add(S.rows(block.start, block.stop, tmp), A[block], out=tmp)
+        np.add(rows(block.start, block.stop, tmp), A[block], out=tmp)
         best = np.argmax(tmp, axis=1)
         first_max = tmp[local, best]
         tmp[local, best] = -np.inf
         second_max = tmp.max(axis=1)
-        s_best = S.rows(block.start, block.stop, tmp)[local, best]
+        s_best = rows(block.start, block.stop, tmp)[local, best]
         tmp -= first_max[:, None]
         tmp[local, best] = s_best - second_max
         R_block *= damping

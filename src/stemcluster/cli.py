@@ -43,13 +43,33 @@ def _preference(value: str):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one ``error:`` line and exit status 2.
-
-    Sub-parsers are built with the parser's own class, so they inherit it.
-    """
+    """Reports a usage error as one ``error:`` line and exit status 2."""
 
     def error(self, message):
         self.exit(2, f"error: {_one_line(message)}\n")
+
+
+class _CommandParser(_Parser):
+    """A command's own parser: its options may sit between the items of a
+    list argument, as in ``stem TABLE --mark-oov WORD WORD``.
+
+    Plain parsing binds a list argument before the first option and leaves
+    the items after it unrecognized.  The top-level parser cannot parse
+    intermixed arguments, because it holds the commands, so each command
+    parses its own that way.
+    """
+
+    _intermixed = False
+
+    def parse_known_args(self, args=None, namespace=None):
+        # ``parse_known_intermixed_args`` may call this method for each of its passes
+        if self._intermixed:
+            return super().parse_known_args(args, namespace)
+        self._intermixed = True
+        try:
+            return self.parse_known_intermixed_args(args, namespace)
+        finally:
+            self._intermixed = False
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="stemcluster",
         description="Cluster related Bangla word forms into stem groups.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     greedy, ap = GreedyConfig(), APConfig()
 
     p = sub.add_parser("preprocess", help="clean raw text files into a lexicon")
@@ -79,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'median' or a fixed self-similarity (default %(default)s)")
     p.add_argument("--max-iter", type=int, default=ap.max_iterations)
     p.add_argument("--max-points", type=int, default=ap.max_points,
-                   help="refuse dense-matrix clustering beyond this many words")
+                   help="refuse affinity propagation beyond this many words")
     p.add_argument("--stem-table", default="stem_table.tsv", help="stem table TSV to write")
     p.add_argument("--report", default="cluster_report.json", help="cluster report JSON to write")
     p.set_defaults(func=cmd_train)

@@ -688,6 +688,15 @@ class TestMessagePassing:
         with pytest.raises(ConfigError):
             message_passing(np.zeros((1, 1)), APConfig())
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("i, j", [(0, 0), (1, 1), (0, 1)])
+    def test_rejects_a_non_finite_entry(self, value, i, j):
+        # refused before the first iteration, which would spread it to every message
+        s = [[0.5, 0.2], [0.2, 0.5]]
+        s[i][j] = value
+        with pytest.raises(ConfigError, match="finite"):
+            message_passing(s, APConfig())
+
     def test_takes_any_array_like(self):
         s = [[0.5, 0.9, -0.25], [0.9, 0.5, 0.0], [-0.25, 0.0, 0.5]]
         from_list = message_passing(s, APConfig())
@@ -755,6 +764,20 @@ class TestMessagePassing:
         assert A.tobytes() == A_oracle.tobytes()
         assert iterations == oracle_iterations
         assert converged == oracle_converged
+
+    @pytest.mark.parametrize("mode", [COEFFICIENT, MEDIAN])
+    def test_a_store_reads_at_the_block_size_it_was_built_with(self, mode):
+        lex = synthetic_lexicon(30, seed=3)
+        n = len(lex.words)
+        matrix = build_with_block_rows(lex, mode, 4)
+        assert matrix.store.block_rows == 4
+        with mock.patch.object(ap, "_BLOCK_BYTES", 7 * 8 * n):
+            assert matrix.store.block_rows == 4
+            R, A, iterations, converged = message_passing(matrix.store, APConfig())
+        R_oracle, A_oracle, oracle_iterations, oracle_converged = message_passing_oracle(matrix.s)
+        assert R.tobytes() == R_oracle.tobytes()
+        assert A.tobytes() == A_oracle.tobytes()
+        assert (iterations, converged) == (oracle_iterations, oracle_converged)
 
     def test_peak_memory_is_one_buffer_set(self):
         # large enough that the block scratch, about 512 KiB, is a small

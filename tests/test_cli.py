@@ -77,15 +77,24 @@ class TestPreprocess:
         run_cli("preprocess", str(demo_corpus), "-o", str(second))
         assert first.read_bytes() == second.read_bytes()
 
-    def test_multiple_inputs_concatenate(self, tmp_path, capsys):
-        one = tmp_path / "one.txt"
-        two = tmp_path / "two.txt"
-        one.write_text("কখ গঘ\n", encoding="utf-8")
-        two.write_text("কখ ঙচছ\n", encoding="utf-8")
-        out = tmp_path / "lex.txt"
-        assert run_cli("preprocess", str(one), str(two), "-o", str(out)) == 0
+    # options may sit between the inputs too
+    @pytest.mark.parametrize(
+        "order",
+        [
+            ["one", "two", "-o", "out"],
+            ["one", "--stats", "two", "-o", "out"],
+            ["one", "-o", "out", "two", "--stats"],
+            ["--stats", "one", "-o", "out", "two"],
+        ],
+    )
+    def test_multiple_inputs_concatenate(self, tmp_path, capsys, order):
+        (tmp_path / "one").write_text("কখ গঘ\n", encoding="utf-8")
+        (tmp_path / "two").write_text("কখ ঙচছ\n", encoding="utf-8")
+        argv = [str(tmp_path / item) if item in ("one", "two", "out") else item for item in order]
+        assert run_cli("preprocess", *argv) == 0
         assert capsys.readouterr().out == "total=4 unique=3\n"
-        assert out.read_text(encoding="utf-8") == "কখ\nগঘ\nঙচছ\n"
+        header = "#stats total=4 unique=3\n" if "--stats" in order else ""
+        assert (tmp_path / "out").read_text(encoding="utf-8") == header + "কখ\nগঘ\nঙচছ\n"
 
     def test_noise_only_corpus_warns(self, tmp_path, capsys):
         source = tmp_path / "noise.txt"
@@ -525,8 +534,12 @@ class TestStem:
         assert captured.err.startswith("error: stdin: not valid utf-8")
         assert captured.err.count("\n") == 1
 
-    def test_mark_oov(self, trained, capsys):
-        run_cli("stem", str(trained["table"]), "কাজের", "কখগঘ", "--mark-oov")
+    # the flag before, between or after the arguments
+    @pytest.mark.parametrize("at", [3, 0, 1, 2])
+    def test_mark_oov(self, trained, capsys, at):
+        argv = [str(trained["table"]), "কাজের", "কখগঘ"]
+        argv.insert(at, "--mark-oov")
+        assert run_cli("stem", *argv) == 0
         assert capsys.readouterr().out == "কাজ\nকখগঘ\t[OOV]\n"
 
     def test_stem_of_stem_is_itself(self, trained, capsys):
