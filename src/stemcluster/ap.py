@@ -73,34 +73,47 @@ each blended as damping*old + (1-damping)*new.  Iteration stops once the
 exemplar set {k : r(k,k) + a(k,k) > 0} has been stable for
 ``_CONVERGENCE_WINDOW`` iterations, or at the ``APConfig`` iteration cap.
 
-``message_passing`` allocates R, A and one (B+1) x n scratch once,
-before the loop; B is the store's ``block_rows`` or, for a raw array,
-the number of rows that fit in ``_BLOCK_BYTES`` (at least 1, at most
-n).  Each iteration is one sweep over blocks of B rows, which sends a
-block's availabilities of iteration t and then its responsibilities of
-t+1 while its rows of R and A are in cache.  The
-availabilities clip the block's responsibilities into scratch rows 1..B
-and subtract them from the column sums of iteration t, then blend into
-A.  The responsibilities decode the block of S into those rows, add
-a(i,k), find each row's two largest a(i,k)+s(i,k), decode S there again
-for the new responsibilities, and blend them into R.  Decoding twice
-keeps a second block buffer out of the run.  The block's clipped
-responsibilities are then folded into the column sums of iteration t+1
-held in scratch row 0, with one reduce over rows 0..B.  That reduce
-adds the rows one after another, as a whole-matrix sum(axis=0) does, so
-the sums are bitwise the same; adding per-block partial sums would not
-be.  The exemplar set of iteration t needs every a(k,k) before the
-sweep, so the loop computes them first from the column sums, with the
-operations the sweep applies to them, and reads the same bits.  Every
-element sees the same float64 operations as in the textbook update, so
-the messages are bitwise those of the version with a dense S and a
-fresh n x n temporary per step.  A run therefore holds R and A, two
-n x n float64 arrays, beside the store: 0.25 n^2 x 8 B in median mode,
-and between 0 and 1.0 n^2 x 8 B in coefficient mode, as above.  R and
-A are freed before each point's exemplar similarities are gathered, one
-decoded block at a time.  ``config.PEAK_N2`` holds, per mode, the
-process peak that ``estimated_peak`` reports; coefficient mode's is its
-bound, with every block dense.
+``message_passing`` runs on W workers: the calling thread and W - 1
+threads, W being the CPUs in the process's affinity mask, capped at the
+number of blocks and at n // 2.  It allocates R, A and one scratch per
+worker once, before the loop, of about (B+1) x n; B is the store's
+``block_rows`` or, for a raw array, the number of rows that fit in
+``_BLOCK_BYTES`` (at least 1, at most n).  Each iteration has two
+phases, and every worker finishes one before any starts the next.
+
+- The sweep.  Each worker takes a contiguous run of blocks of B rows,
+  and sends a block's availabilities of iteration t and then its
+  responsibilities of t+1 while its rows of R and A are in cache.  The
+  availabilities clip the block's responsibilities into the scratch,
+  subtract them from the column sums of iteration t, then blend into A.
+  The responsibilities decode the block of S into the scratch, add
+  a(i,k), find each row's two largest a(i,k)+s(i,k), decode S there
+  again for the new responsibilities, and blend them into R.  Decoding
+  twice keeps a second block buffer out of the run.
+- The fold.  Each worker takes one slab of columns, n w/W to
+  n (w+1)/W, and sums the clipped responsibilities of iteration t+1
+  there.  It clips each block's rows of the slab into its scratch, seen
+  as (B+1) x slab width, and folds them into the slab's running sums in
+  row 0 with one reduce over rows 0..B, block by block in row order.
+  That reduce adds the rows one after another, as a whole-matrix
+  sum(axis=0) does, so every column's sum is bitwise the same; adding
+  per-block partial sums would not be.  Columns need no order among
+  themselves, so the slabs fold side by side.  A slab one column wide
+  would be summed pairwise instead, hence W <= n // 2.
+
+Between the phases the calling thread reads the exemplar set.  That of
+iteration t needs every a(k,k) before the sweep, so it is computed first
+from the column sums, with the operations the sweep applies to them,
+and reads the same bits.  Every element sees the same float64
+operations as in the textbook update, so the messages are bitwise those
+of the version with a dense S and a fresh n x n temporary per step,
+whatever W is.  A run therefore holds R and A, two n x n float64
+arrays, and W block scratches beside the store: 0.25 n^2 x 8 B in
+median mode, and between 0 and 1.0 n^2 x 8 B in coefficient mode, as
+above.  R and A are freed before each point's exemplar similarities are
+gathered, one decoded block at a time.  ``config.PEAK_N2`` holds, per
+mode, the process peak that ``estimated_peak`` reports; coefficient
+mode's is its bound, with every block dense.
 
 Exactly tied instances (e.g. two identical points with equal preference)
 make the messages perfectly symmetric and every self-belief converges to
@@ -124,8 +137,12 @@ module or numpy.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from collections import namedtuple
+from contextlib import contextmanager
 from itertools import combinations_with_replacement, islice
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -161,11 +178,17 @@ def _block_rows(n: int) -> int:
     return max(1, min(n, _BLOCK_BYTES // (8 * max(n, 1))))
 
 
-def _with_diagonal(block: np.ndarray, lo: int, diagonal: np.ndarray) -> np.ndarray:
-    """``block``, C-contiguous rows lo.. of a matrix, with their diagonal entries written."""
-    # row r's diagonal entry, that of point lo + r, sits at flat offset
-    # r * n + lo + r
-    block.reshape(-1)[lo :: block.shape[1] + 1] = diagonal[lo : lo + len(block)]
+def _with_diagonal(
+    block: np.ndarray, lo: int, diagonal: np.ndarray, left: int = 0
+) -> np.ndarray:
+    """``block``, C-contiguous rows lo.. and columns left.. of a matrix,
+    with the diagonal entries among them written."""
+    height, width = block.shape
+    first, stop = max(lo, left), min(lo + height, left + width)
+    if first < stop:
+        # point p's diagonal entry sits at flat offset (p - lo) * width + p - left
+        start = (first - lo) * width + first - left
+        block.reshape(-1)[start :: width + 1][: stop - first] = diagonal[first:stop]
     return block
 
 
@@ -472,6 +495,78 @@ def _decoded(store) -> Iterator[tuple[int, np.ndarray]]:
         yield lo, store.rows(lo, min(lo + size, n), buffer)
 
 
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform with no affinity mask
+        return os.cpu_count() or 1
+
+
+@contextmanager
+def _workers(count: int):
+    """A function that runs ``phase(w)`` for every worker w < ``count`` and
+    returns once each has: worker 0 on the calling thread, the others on
+    threads of their own, each in a copy of the caller's context, so that
+    numpy's ``errstate`` holds there too.
+
+    The first error in any worker, or in the calling thread, breaks the
+    barrier; every thread is joined and that error raised here.  A thread
+    that cannot start is a ``MemoryError``.
+    """
+    if count == 1:
+        yield lambda phase: phase(0)
+        return
+    barrier = threading.Barrier(count)
+    errors: list[BaseException] = []
+    todo = None  # the phase the workers run next; None ends them
+
+    def work(w):
+        try:
+            while True:
+                barrier.wait()
+                if todo is None:
+                    return
+                todo(w)
+                barrier.wait()
+        except threading.BrokenBarrierError:
+            pass
+        except BaseException as exc:  # raised by the calling thread
+            errors.append(exc)
+            barrier.abort()
+
+    def run(phase):
+        nonlocal todo
+        todo = phase
+        barrier.wait()
+        phase(0)
+        barrier.wait()
+
+    threads = []
+    try:
+        for w in range(1, count):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(work, w))
+            try:
+                thread.start()
+            except RuntimeError as exc:
+                raise MemoryError(f"cannot start a message-passing thread: {exc}") from None
+            threads.append(thread)
+        yield run
+        todo = None
+        barrier.wait()
+    except BaseException as exc:
+        if not isinstance(exc, threading.BrokenBarrierError):
+            errors.append(exc)
+        barrier.abort()
+        for thread in threads:
+            thread.join()
+        if errors[0] is exc:
+            raise
+        raise errors[0] from None
+    for thread in threads:
+        thread.join()
+
+
 def message_passing(S, config: APConfig) -> tuple[np.ndarray, np.ndarray, int, bool]:
     """Iterate the damped updates on a similarity matrix.
 
@@ -479,7 +574,9 @@ def message_passing(S, config: APConfig) -> tuple[np.ndarray, np.ndarray, int, b
     store of a ``SimilarityMatrix``, decoded one block of rows at a time.
     Returns (R, A, iterations run, converged).  Convergence means a
     non-empty exemplar set unchanged over ``_CONVERGENCE_WINDOW``
-    consecutive iterations.
+    consecutive iterations.  The work is shared by one worker per CPU,
+    at most one per block and per two columns; the messages are the same
+    whatever the count.
     """
     if isinstance(S, (_Nonzeros, _Halves)):
         n, size, rows = len(S.diagonal), S.block_rows, S.rows
@@ -501,24 +598,36 @@ def message_passing(S, config: APConfig) -> tuple[np.ndarray, np.ndarray, int, b
         raise ConfigError("message passing needs a square matrix over at least 2 points")
     R = np.zeros((n, n))
     A = np.zeros((n, n))
-    # rows 1..b of ``scratch`` hold one block's a(i,k)+s(i,k), then its new
-    # responsibilities, clipped responsibilities and new availabilities;
-    # row 0 holds the column sums of the clipped rows before the block
-    scratch = np.empty((size + 1, n))
-    column_sums = scratch[0]
     # per block: its row slice, local row numbers and flat diagonal offsets
     blocks = []
     for lo in range(0, n, size):
         hi = min(lo + size, n)
         local = np.arange(hi - lo)
         blocks.append((slice(lo, hi), local, local * (n + 1) + lo))
+    # a slab one column wide would be summed pairwise, not row by row
+    count = max(1, min(_cpu_count(), len(blocks), n // 2))
+    # per worker: its run of blocks, its column slab, and its scratch as
+    # the sweep and the fold see it.  The sweep's b x n rows hold one
+    # block's a(i,k)+s(i,k), then its new responsibilities, clipped
+    # responsibilities and new availabilities.  The fold's (b+1) x slab
+    # width rows hold a block's clipped responsibilities in rows 1..b,
+    # and in row 0 the slab's column sums of the clipped rows before it
+    runs = [blocks[len(blocks) * w // count : len(blocks) * (w + 1) // count] for w in range(count)]
+    slabs = [slice(n * w // count, n * (w + 1) // count) for w in range(count)]
+    sweep_rows, fold_rows = [], []
+    for slab in slabs:
+        width = slab.stop - slab.start
+        scratch = np.empty(max(size * n, (size + 1) * width))
+        sweep_rows.append(scratch[: size * n].reshape(size, n))
+        fold_rows.append(scratch[: (size + 1) * width].reshape(size + 1, width))
+    # the column sums of the clipped responsibilities of iteration t
+    sums = np.empty(n)
     damping = config.damping
 
-    def send_responsibilities(block, local, diagonal):
-        tmp = scratch[1 : len(local) + 1]
+    def send_responsibilities(tmp, block, local):
         R_block = R[block]
         # the block of S is decoded into tmp twice, for a+s and for s,
-        # so a run holds no second block buffer
+        # so a worker holds no second block buffer
         np.add(rows(block.start, block.stop, tmp), A[block], out=tmp)
         best = np.argmax(tmp, axis=1)
         first_max = tmp[local, best]
@@ -530,19 +639,10 @@ def message_passing(S, config: APConfig) -> tuple[np.ndarray, np.ndarray, int, b
         R_block *= damping
         tmp *= 1.0 - damping
         R_block += tmp
-        # fold the clipped rows into the running column sums; one
-        # reduce over rows 0..b adds them row by row, in the order of
-        # a whole-matrix sum(axis=0), so the sums are bitwise equal
-        # (numpy buffers the output row that the input overlaps)
-        np.maximum(R_block, 0.0, out=tmp)
-        tmp.flat[diagonal] = R_block.flat[diagonal]
-        fold_from = 1 if block.start == 0 else 0  # the first block has no sums to fold into
-        np.add.reduce(scratch[fold_from : len(local) + 1], axis=0, out=column_sums)
 
     # the availabilities follow the textbook operation order; a negated
     # ``tmp -= sums`` could flip zeros' signs
-    def send_availabilities(block, local, diagonal):
-        tmp = scratch[1 : len(local) + 1]
+    def send_availabilities(tmp, block, diagonal):
         R_block = R[block]
         np.maximum(R_block, 0.0, out=tmp)
         tmp.flat[diagonal] = R_block.flat[diagonal]
@@ -555,34 +655,56 @@ def message_passing(S, config: APConfig) -> tuple[np.ndarray, np.ndarray, int, b
         tmp *= 1.0 - damping
         A_block += tmp
 
-    # one sweep sends a block's availabilities of iteration t, then its
-    # responsibilities of t + 1, while its rows of R and A are in cache;
-    # ``sums`` keeps the column sums of iteration t meanwhile
-    sums = np.empty(n)
-    for entry in blocks:
-        send_responsibilities(*entry)
+    # a worker's sweep sends each of its blocks' availabilities of
+    # iteration t, then its responsibilities of t + 1, while the block's
+    # rows of R and A are in cache
+    def sweep(w, availabilities, responsibilities):
+        for block, local, diagonal in runs[w]:
+            tmp = sweep_rows[w][: len(local)]
+            if availabilities:
+                send_availabilities(tmp, block, diagonal)
+            if responsibilities:
+                send_responsibilities(tmp, block, local)
+
+    # a worker's fold sums its slab of the clipped responsibilities, block
+    # by block in row order; one reduce over rows 0..b adds a block's rows
+    # to the running sums one after another, in the order of a
+    # whole-matrix sum(axis=0), so the sums are bitwise equal (numpy
+    # buffers the output row that the input overlaps)
+    R_diagonal = R.diagonal()
+
+    def fold(w):
+        columns, view = slabs[w], fold_rows[w]
+        for block, local, _ in blocks:
+            tmp = view[1 : len(local) + 1]
+            np.maximum(R[block, columns], 0.0, out=tmp)
+            _with_diagonal(tmp, block.start, R_diagonal, columns.start)
+            fold_from = 1 if block.start == 0 else 0  # the first block has no sums to fold into
+            np.add.reduce(view[fold_from : len(local) + 1], axis=0, out=view[0])
+        sums[columns] = view[0]
+
     previous: tuple[int, ...] | None = None
     stable = 0
     converged = False
-    for iteration in range(1, config.max_iterations + 1):
-        sums[:] = column_sums
-        # the self-availabilities of iteration t, by the operations that
-        # the sweep applies to them, so the exemplar set is read first
-        self_availability = A.diagonal() * damping + (sums - R.diagonal()) * (1.0 - damping)
-        exemplars = tuple(np.flatnonzero(R.diagonal() + self_availability > 0.0))
-        if exemplars == previous:
-            stable += 1
-        else:
-            stable = 0
-        previous = exemplars
-        converged = bool(exemplars) and stable >= _CONVERGENCE_WINDOW - 1
-        last = converged or iteration == config.max_iterations
-        for entry in blocks:
-            send_availabilities(*entry)
-            if not last:
-                send_responsibilities(*entry)
-        if last:
-            break
+    with _workers(count) as run:
+        run(lambda w: sweep(w, False, True))
+        run(fold)
+        for iteration in range(1, config.max_iterations + 1):
+            # the self-availabilities of iteration t, by the operations that
+            # the sweep applies to them, so the exemplar set is read first
+            self_availability = A.diagonal() * damping + (sums - R.diagonal()) * (1.0 - damping)
+            exemplars = tuple(np.flatnonzero(R.diagonal() + self_availability > 0.0))
+            if exemplars == previous:
+                stable += 1
+            else:
+                stable = 0
+            previous = exemplars
+            converged = bool(exemplars) and stable >= _CONVERGENCE_WINDOW - 1
+            last = converged or iteration == config.max_iterations
+            run(lambda w: sweep(w, True, not last))
+            if last:
+                break
+            run(fold)
     return R, A, iteration, converged
 
 

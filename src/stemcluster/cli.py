@@ -142,12 +142,11 @@ def cmd_train(args) -> int:
     from .preprocess import read_lexicon
     lexicon = read_lexicon(args.lexicon)
     if args.backend == "greedy":
-        from .clusters import write_cluster_report
         from .greedy import cluster_greedy
         config = GreedyConfig(gram_order=args.ngram, threshold=args.threshold)
         clusters = cluster_greedy(lexicon, config)
         order, threshold = config.gram_order, config.threshold
-        write_cluster_report(args.report, clusters)
+        run = {}
     else:
         mode, order = _AP_BACKENDS[args.backend]
         config = APConfig(
@@ -159,7 +158,6 @@ def cmd_train(args) -> int:
         # refuse an oversized lexicon before numpy or any clustering module is loaded
         config.check_capacity(lexicon.unique_tokens, mode)
         from .ap import build_similarity_matrix, run_ap
-        from .clusters import write_cluster_report
         try:
             matrix = build_similarity_matrix(lexicon, mode, config)
             result = run_ap(matrix, config)
@@ -168,22 +166,22 @@ def cmd_train(args) -> int:
             raise MemoryError(f"out of memory: {peak}") from None
         clusters = result.clusters
         threshold = None
-        write_cluster_report(
-            args.report,
-            clusters,
-            exemplars=result.exemplars,
-            mode=result.mode,
-            converged=result.converged,
-            iterations=result.iterations,
-        )
-        if not result.converged:
-            print(f"warning: not converged after {result.iterations} iterations", file=sys.stderr)
-        print(f"mode={result.mode} converged={str(result.converged).lower()} "
-              f"iterations={result.iterations}")
+        # the run's fields of the cluster report
+        run = {"exemplars": result.exemplars, "mode": result.mode,
+               "converged": result.converged, "iterations": result.iterations}
+    from .clusters import write_cluster_report
     from .evaluation import report_stats
     from .greedy import stem_table_from_clusters, write_stem_table
-    table = stem_table_from_clusters(clusters, order=order, threshold=threshold)
-    write_stem_table(table, args.stem_table)
+    # a stem table that cannot be built is refused before any artifact is
+    # written; it is written and freed before the report's payload is built
+    write_stem_table(stem_table_from_clusters(clusters, order=order, threshold=threshold),
+                     args.stem_table)
+    write_cluster_report(args.report, clusters, **run)
+    if run:
+        if not run["converged"]:
+            print(f"warning: not converged after {run['iterations']} iterations", file=sys.stderr)
+        print(f"mode={run['mode']} converged={str(run['converged']).lower()} "
+              f"iterations={run['iterations']}")
     stats = report_stats(clusters)
     print(f"clusters={stats['total_clusters']} reduction_ratio={stats['reduction_ratio']:.4f}")
     return 0

@@ -78,7 +78,9 @@ def write_cluster_report(
     exemplar-based backend supplies its exemplars (and with them its
     mode, converged and iterations), each entry gains its exemplar and the
     array is wrapped in an object carrying {mode, converged, iterations}.
-    The JSON is written as it is encoded, so its text is never held whole.
+    The JSON is written as it is encoded, so its text is never held whole,
+    through ``open_for_writing``: a write that fails midway leaves the
+    target as it was.
 
     Clusters that ``read_cluster_report`` would refuse are refused before
     the file is opened: first by ``check_partition``, then by ``Cluster``,

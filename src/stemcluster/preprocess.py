@@ -16,15 +16,19 @@ and the stem-table lookup both call it.
 Every line file goes through ``read_lines`` and ``write_lines``: UTF-8,
 LF-ended lines, and a file holding a carriage return is refused, since
 split on LF alone a CRLF file would leave a CR on every line.  Writers
-open their target through ``open_for_writing`` and write as they format.
+open their target through ``open_for_writing`` and write as they format,
+into a new file that replaces the target only once the write is whole.
 """
 
 from __future__ import annotations
 
 import operator
+import os
 import re
+import stat
 from collections import namedtuple
-from itertools import chain, islice
+from contextlib import contextmanager
+from itertools import chain, count, islice
 from pathlib import Path
 
 from .errors import FormatError, InputEncodingError
@@ -138,17 +142,61 @@ def read_lines(path) -> list[str]:
     return text.split("\n")
 
 
+def _new_sibling(target: str) -> tuple[str, int]:
+    """A new empty file in ``target``'s directory, open for writing: its path and descriptor."""
+    directory = os.path.dirname(target)
+    for number in count():
+        temporary = os.path.join(directory, f".stemcluster-{os.getpid()}-{number}.tmp")
+        try:
+            return temporary, os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:
+            pass
+
+
+@contextmanager
 def open_for_writing(path):
-    """``path`` opened for text as UTF-8 with no newline translation, truncated."""
-    return open(path, "w", encoding="utf-8", newline="")
+    """``path`` opened for text as UTF-8 with no newline translation, all or nothing.
+
+    A regular file or a missing path is written as a new file beside it,
+    which replaces it by ``os.replace`` once the ``with`` block ends
+    cleanly; on any exception, ``KeyboardInterrupt`` included, the new
+    file is removed and the target keeps its bytes.  A symlink is followed
+    to the file it names, so the link stays a link, and a replaced file
+    keeps its permission bits.  Anything else, a FIFO or a device, is
+    written in place.  Nothing is synced to disk: this holds against
+    exceptions and signals, not against a crash of the machine.
+    """
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w", encoding="utf-8", newline="") as file:
+            yield file
+        return
+    target = os.path.realpath(path)
+    try:
+        temporary, descriptor = _new_sibling(target)
+    except OSError as exc:  # named by the target, as opening it in place would be
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    try:
+        with open(descriptor, "w", encoding="utf-8", newline="") as file:
+            if mode is not None:
+                os.chmod(temporary, stat.S_IMODE(mode))
+            yield file
+        os.replace(temporary, target)
+    except BaseException:
+        os.unlink(temporary)
+        raise
 
 
 def write_lines(path, lines) -> None:
     """Write the iterable ``lines`` as UTF-8, each ended by LF; no lines make an empty file.
 
     Lines are written as they come, ``_WRITE_CHUNK`` at a time, so the file
-    is never held whole.  The target is truncated first: a write that fails
-    midway, on a full disk or an unencodable line, leaves a partial file.
+    is never held whole.  The write is ``open_for_writing``'s: one that
+    fails midway, on a full disk or an unencodable line, leaves the target
+    as it was.
     """
     lines = iter(lines)
     with open_for_writing(path) as file:

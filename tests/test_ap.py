@@ -1,6 +1,7 @@
 import random
 import subprocess
 import sys
+import threading
 import tracemalloc
 from itertools import product
 from statistics import median as stat_median
@@ -61,6 +62,11 @@ pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ)
 _, status, usage = os.wait4(pid, 0)
 print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
+
+
+def workers_patched(count):
+    """Message passing sees ``count`` CPUs."""
+    return mock.patch.object(ap, "_cpu_count", lambda: count)
 
 
 def random_similarity(rng, n, low=0.0, high=1.0, preference=None):
@@ -548,6 +554,37 @@ class TestRunAP:
             run_ap(matrix)
         assert np.array_equal(matrix.s, s)  # the tie-break lowered a copy of the diagonal
 
+    # two rows per block, so two workers take a run of blocks each
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_overflowing_messages_are_a_config_error_on_every_worker_count(self, workers):
+        n = 10
+        s = random_similarity(np.random.default_rng(3), n, preference=-1e308)
+        with mock.patch.object(ap, "_BLOCK_BYTES", 2 * 8 * n), workers_patched(workers):
+            matrix = matrix_from(s)
+            with pytest.raises(ConfigError, match="too large"):
+                run_ap(matrix)
+
+    def test_an_overflow_in_a_worker_thread_is_a_config_error(self):
+        # run_ap's errstate must reach the worker threads: an overflow that
+        # only a worker meets is refused as one the calling thread meets
+        n = 10
+        s = random_similarity(np.random.default_rng(3), n)
+        decode = ap._Nonzeros.rows
+        threads = set()
+
+        def rows(store, lo, hi, out):
+            if threading.current_thread() is not threading.main_thread():
+                threads.add(threading.current_thread())
+                np.square(np.full(1, 1e200))
+            return decode(store, lo, hi, out)
+
+        with mock.patch.object(ap, "_BLOCK_BYTES", 2 * 8 * n), workers_patched(2), \
+                mock.patch.object(ap._Nonzeros, "rows", rows):
+            matrix = matrix_from(s)
+            with pytest.raises(ConfigError, match="too large"):
+                run_ap(matrix)
+        assert threads
+
     def test_degenerate_when_no_exemplar_emerges(self):
         matrix = matrix_from(np.array([[0.1, 0.9], [0.9, 0.1]]))
         with pytest.raises(DegenerateClusteringError):
@@ -716,6 +753,9 @@ class TestMessagePassing:
         [*(("dense", rows) for rows in [1, 2, 7, "n-1", "n"]),
          *((mode, rows) for mode in [COEFFICIENT, MEDIAN] for rows in [1, 2, "n-1", "n"])],
     )
+    # workers: the count of CPUs message passing sees, capped at the
+    # number of blocks and at n // 2
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     @settings(max_examples=60)
     @given(
         st.integers(2, 40),
@@ -727,7 +767,7 @@ class TestMessagePassing:
     @example(n=40, kind="ties", seed=1, damping=0.9)
     @example(n=17, kind="spread", seed=2, damping=0.5)
     def test_in_place_updates_equal_textbook_oracle_bitwise(
-        self, source, block_rows, n, kind, seed, damping
+        self, workers, source, block_rows, n, kind, seed, damping
     ):
         rng = np.random.default_rng(seed)
         if kind == "constant":
@@ -746,7 +786,7 @@ class TestMessagePassing:
             s = -np.abs(np.round(s * 2) / 2)  # multiples of 0.5 in [-10, 0]
         rows = {"n-1": max(n - 1, 1), "n": n}.get(block_rows, block_rows)
         config = APConfig(damping=damping)
-        with mock.patch.object(ap, "_BLOCK_BYTES", rows * 8 * n):
+        with mock.patch.object(ap, "_BLOCK_BYTES", rows * 8 * n), workers_patched(workers):
             if source == "dense":
                 s_bytes = s.tobytes()
                 R, A, iterations, converged = message_passing(s, config)
@@ -779,7 +819,10 @@ class TestMessagePassing:
         assert A.tobytes() == A_oracle.tobytes()
         assert (iterations, converged) == (oracle_iterations, oracle_converged)
 
-    def test_peak_memory_is_one_buffer_set(self):
+    # one worker holds R, A and one block scratch; each further worker adds
+    # its own scratch, about 0.07 n^2 x 8 B at this n
+    @pytest.mark.parametrize("workers, bound", [(1, 2.09), (2, 2.16)])
+    def test_peak_memory_is_one_buffer_set(self, workers, bound):
         # large enough that the block scratch, about 512 KiB, is a small
         # share of one n x n array
         n = 1000
@@ -790,18 +833,19 @@ class TestMessagePassing:
         def peak_n2(call):
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
-            call()
+            with workers_patched(workers):
+                call()
             return (tracemalloc.get_traced_memory()[1] - start) / (n * n * 8)
 
         tracemalloc.start()
         try:
-            # R, A and the block scratch, into which run_ap decodes the store
+            # R, A and the block scratches, into which run_ap decodes the store
             passing = peak_n2(lambda: message_passing(s, config))
             run = peak_n2(lambda: run_ap(matrix, config))
         finally:
             tracemalloc.stop()
-        assert passing <= 2.09
-        assert run <= 2.09
+        assert passing <= bound
+        assert run <= bound
 
         # every point an exemplar: the n x exemplars gathers of the
         # assignment step must not stack on R and A
@@ -813,7 +857,60 @@ class TestMessagePassing:
         finally:
             tracemalloc.stop()
         assert len(results[0].exemplars) == n
-        assert run <= 2.09
+        assert run <= bound
+
+    class Failure(Exception):
+        pass
+
+    # an error in a worker thread, or an interrupt in the calling one, ends
+    # the run: every worker is joined and the error raised, with nothing
+    # printed
+    @pytest.mark.parametrize("error", [Failure, KeyboardInterrupt])
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_an_error_in_any_thread_ends_every_worker(self, capfd, workers, where, error):
+        n = 12
+        s = random_similarity(np.random.default_rng(5), n)
+        decode = ap._Nonzeros.rows
+        calls = []
+
+        def rows(store, lo, hi, out):
+            in_worker = threading.current_thread() is not threading.main_thread()
+            calls.append(in_worker)
+            if in_worker == (where == "worker") and len(calls) > 3 * n:
+                raise error
+            return decode(store, lo, hi, out)
+
+        before = threading.active_count()
+        with mock.patch.object(ap, "_BLOCK_BYTES", 2 * 8 * n), workers_patched(workers), \
+                mock.patch.object(ap._Nonzeros, "rows", rows):
+            matrix = matrix_from(s)
+            with pytest.raises(error):
+                message_passing(matrix.store, APConfig())
+        assert threading.active_count() == before
+        assert any(calls) and not all(calls)
+        assert capfd.readouterr() == ("", "")
+
+    def test_a_thread_that_cannot_start_is_a_memory_error(self):
+        n = 12
+        s = random_similarity(np.random.default_rng(5), n)
+        start = threading.Thread.start
+        started = []
+
+        def start_one(thread):
+            # the first thread starts, the second cannot
+            if started:
+                raise RuntimeError("can't start new thread")
+            started.append(thread)
+            start(thread)
+
+        before = threading.active_count()
+        with mock.patch.object(ap, "_BLOCK_BYTES", 2 * 8 * n), workers_patched(3), \
+                mock.patch.object(threading.Thread, "start", start_one):
+            with pytest.raises(MemoryError, match="can't start new thread"):
+                message_passing(s, APConfig())
+        assert len(started) == 1
+        assert threading.active_count() == before
 
 
 class TestApStats:

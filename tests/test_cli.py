@@ -3,10 +3,12 @@ import contextlib
 import io
 import itertools
 import json
+import os
 import select
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -16,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from stemcluster.cli import main
 from stemcluster.greedy import read_stem_table, stem_word
 from stemcluster.clusters import read_cluster_report
+from stemcluster.errors import ConfigError
 from stemcluster.evaluation import report_stats
 from stemcluster.preprocess import write_lexicon
 
@@ -150,6 +153,45 @@ class TestTrain:
         lexicon = str(demo_expected_dir / "lexicon.txt")
         assert run_cli("train", lexicon, *itertools.chain(*paths.items())) == 1
         assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+
+    def test_ap_thread_that_cannot_start_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # message passing on two workers, the second of which cannot start
+        from stemcluster import ap
+        n = 40
+        lexicon = tmp_path / "lexicon.txt"
+        write_lexicon(synthetic_lexicon(n, seed=3), lexicon)
+        monkeypatch.setattr(ap, "_BLOCK_BYTES", 4 * 8 * n)
+        monkeypatch.setattr(ap, "_cpu_count", lambda: 2)
+
+        def start(thread):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        code = run_cli("train", str(lexicon), "--backend", "ap-coeff",
+                       "--stem-table", str(tmp_path / "t.tsv"), "--report", str(tmp_path / "r.json"))
+        assert code == 1
+        assert capsys.readouterr() == ("", (
+            f"error: out of memory: affinity propagation over {n} words would peak near "
+            "0.0 GiB (3.5 x n^2 x 8 B)\n"
+        ))
+        assert sorted(os.listdir(tmp_path)) == ["lexicon.txt"]
+
+    def test_a_stem_table_that_cannot_be_built_leaves_no_artifact(
+        self, tmp_path, demo_expected_dir, capsys, monkeypatch
+    ):
+        from stemcluster import greedy
+
+        def refuse(clusters, order, threshold):
+            raise ConfigError("refused")
+
+        monkeypatch.setattr(greedy, "stem_table_from_clusters", refuse)
+        out = tmp_path / "out"
+        out.mkdir()
+        code = run_cli("train", str(demo_expected_dir / "lexicon.txt"),
+                       "--stem-table", str(out / "t.tsv"), "--report", str(out / "r.json"))
+        assert code == 2
+        assert capsys.readouterr().err == "error: refused\n"
+        assert os.listdir(out) == []
 
     def test_stem_table_round_trips(self, trained):
         table = read_stem_table(trained["table"])

@@ -9,7 +9,10 @@ as they format, so none holds its file's text whole.
 
 import codecs
 import json
+import os
+import stat
 import string
+import threading
 import tracemalloc
 from collections import namedtuple
 
@@ -79,6 +82,104 @@ def test_write_lines_is_one_join_whatever_the_chunks(tmp_path, count):
     assert (tmp_path / "list.txt").read_bytes() == expected
     write_lines(tmp_path / "generator.txt", (line for line in lines))
     assert (tmp_path / "generator.txt").read_bytes() == expected
+
+
+def _chunk_then_fail(error):
+    yield from (f"line {i}" for i in range(_WRITE_CHUNK + 5))
+    raise error
+
+
+# a write that fails midway: an unencodable line, a generator that raises
+# after a first chunk is written, an interrupt
+@pytest.mark.parametrize(
+    "lines, error",
+    [(lambda: ["ab", "\ud800x"], UnicodeEncodeError),
+     (lambda: _chunk_then_fail(ValueError("no more lines")), ValueError),
+     (lambda: _chunk_then_fail(KeyboardInterrupt()), KeyboardInterrupt)],
+    ids=["unencodable", "raising-generator", "interrupt"],
+)
+@pytest.mark.parametrize("exists", [True, False])
+def test_a_write_that_fails_midway_leaves_the_target_as_it_was(tmp_path, lines, error, exists):
+    path = tmp_path / "a.txt"
+    if exists:
+        path.write_bytes(b"old\n")
+    with pytest.raises(error):
+        write_lines(path, lines())
+    # no new file is left beside it
+    assert os.listdir(tmp_path) == (["a.txt"] if exists else [])
+    if exists:
+        assert path.read_bytes() == b"old\n"
+
+
+@pytest.mark.parametrize("error", [UnicodeEncodeError, KeyboardInterrupt])
+def test_a_report_write_that_fails_midway_leaves_the_target_as_it_was(
+    tmp_path, monkeypatch, error
+):
+    path = tmp_path / "report.json"
+    write_cluster_report(path, [Cluster("ab", ("ab", "abc"))])
+    before = path.read_bytes()
+    # a word UTF-8 cannot encode fails after the clusters before it are written
+    clusters = [Cluster("ab", ("ab",)), Cluster("\ud800x", ("\ud800x",))]
+    if error is KeyboardInterrupt:
+        def interrupted(payload, file, **kwargs):
+            file.write("[")
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(json, "dump", interrupted)
+        clusters = clusters[:1]
+    with pytest.raises(error):
+        write_cluster_report(path, clusters)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["report.json"]
+
+
+def test_a_replaced_target_keeps_its_permission_bits_and_a_new_one_gets_the_umask(tmp_path):
+    path = tmp_path / "a.txt"
+    path.write_bytes(b"old\n")
+    path.chmod(0o604)
+    write_lines(path, ["new"])
+    assert path.read_bytes() == b"new\n"
+    assert stat.S_IMODE(path.stat().st_mode) == 0o604
+    # a new file gets what opening it in place would give it
+    (tmp_path / "plain.txt").write_bytes(b"")
+    write_lines(tmp_path / "new.txt", ["new"])
+    assert (tmp_path / "new.txt").stat().st_mode == (tmp_path / "plain.txt").stat().st_mode
+
+
+def test_a_symlinked_target_stays_a_link(tmp_path):
+    real = tmp_path / "real.txt"
+    real.write_bytes(b"old\n")
+    link = tmp_path / "link.txt"
+    link.symlink_to(real)
+    write_lines(link, ["new"])
+    assert link.is_symlink()
+    assert real.read_bytes() == b"new\n"
+    assert sorted(os.listdir(tmp_path)) == ["link.txt", "real.txt"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_a_fifo_target_is_written_in_place(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+    reader.start()
+    try:
+        write_lines(fifo, ["কখ", "গঘ"])
+    finally:
+        reader.join(timeout=60)
+    assert received == ["কখ\nগঘ\n".encode("utf-8")]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert os.listdir(tmp_path) == ["fifo"]
+
+
+def test_a_target_that_cannot_be_created_is_named_as_opening_it_would_name_it(tmp_path):
+    path = tmp_path / "missing" / "a.txt"
+    with pytest.raises(FileNotFoundError) as opened:
+        open(path, "w", encoding="utf-8")
+    with pytest.raises(FileNotFoundError) as written:
+        write_lines(path, ["ab"])
+    assert str(written.value) == str(opened.value)
 
 
 @given(pool=st.lists(words, unique=True, max_size=12), extra=st.integers(0, 5), stats=st.booleans())
