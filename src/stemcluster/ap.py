@@ -74,9 +74,10 @@ exemplar set {k : r(k,k) + a(k,k) > 0} has been stable for
 ``_CONVERGENCE_WINDOW`` iterations, or at the ``APConfig`` iteration cap.
 
 ``message_passing`` runs on W workers: the calling thread and W - 1
-threads, W being the CPUs in the process's affinity mask, capped at the
-number of blocks and at n // 2.  It allocates R, A and one scratch per
-worker once, before the loop, of about (B+1) x n; B is the store's
+threads, W being the CPUs in the process's affinity mask, capped at
+``_MAX_WORKERS`` (two, the most that has been measured), at the number
+of blocks and at n // 2.  It allocates R, A and one scratch per worker
+once, before the loop, of about (B+1) x n; B is the store's
 ``block_rows`` or, for a raw array, the number of rows that fit in
 ``_BLOCK_BYTES`` (at least 1, at most n).  Each iteration has two
 phases, and every worker finishes one before any starts the next.
@@ -89,17 +90,19 @@ phases, and every worker finishes one before any starts the next.
   The responsibilities decode the block of S into the scratch, add
   a(i,k), find each row's two largest a(i,k)+s(i,k), decode S there
   again for the new responsibilities, and blend them into R.  Decoding
-  twice keeps a second block buffer out of the run.
+  twice keeps a second block buffer out of the run.  Worker 0, whose
+  run starts at row 0, then clips the block's new responsibilities and
+  folds them into the running column sums in its scratch's first row
+  with one reduce over rows 0..B.  That reduce adds the rows one after
+  another, as a whole-matrix sum(axis=0) does, so every column's sum is
+  bitwise the same; adding per-block partial sums would not be.
 - The fold.  Each worker takes one slab of columns, n w/W to
-  n (w+1)/W, and sums the clipped responsibilities of iteration t+1
-  there.  It clips each block's rows of the slab into its scratch, seen
-  as (B+1) x slab width, and folds them into the slab's running sums in
-  row 0 with one reduce over rows 0..B, block by block in row order.
-  That reduce adds the rows one after another, as a whole-matrix
-  sum(axis=0) does, so every column's sum is bitwise the same; adding
-  per-block partial sums would not be.  Columns need no order among
+  n (w+1)/W, starts from worker 0's sums there and folds in the blocks
+  after worker 0's run the same way, block by block in row order, its
+  scratch seen as (B+1) x slab width.  Columns need no order among
   themselves, so the slabs fold side by side.  A slab one column wide
-  would be summed pairwise instead, hence W <= n // 2.
+  would be summed pairwise instead, hence W <= n // 2.  With one worker
+  nothing is left to fold, and an iteration is the single sweep.
 
 Between the phases the calling thread reads the exemplar set.  That of
 iteration t needs every a(k,k) before the sweep, so it is computed first
@@ -108,7 +111,7 @@ and reads the same bits.  Every element sees the same float64
 operations as in the textbook update, so the messages are bitwise those
 of the version with a dense S and a fresh n x n temporary per step,
 whatever W is.  A run therefore holds R and A, two n x n float64
-arrays, and W block scratches beside the store: 0.25 n^2 x 8 B in
+arrays, and W block scratches of about ``_BLOCK_BYTES`` beside the store: 0.25 n^2 x 8 B in
 median mode, and between 0 and 1.0 n^2 x 8 B in coefficient mode, as
 above.  R and A are freed before each point's exemplar similarities are
 gathered, one decoded block at a time.  ``config.PEAK_N2`` holds, per
@@ -168,6 +171,10 @@ _TIE_BREAK = 1e-12
 # message passing works on blocks of rows about this many bytes wide, so a
 # block stays in cache across the several passes each update makes over it
 _BLOCK_BYTES = 1 << 19
+# message passing runs on at most this many workers: two is the most that
+# has been measured, on a machine with two CPUs, and each worker holds one
+# more block scratch
+_MAX_WORKERS = 2
 # message passing converges once a non-empty exemplar set stays the same for
 # this many iterations
 _CONVERGENCE_WINDOW = 15
@@ -575,8 +582,8 @@ def message_passing(S, config: APConfig) -> tuple[np.ndarray, np.ndarray, int, b
     Returns (R, A, iterations run, converged).  Convergence means a
     non-empty exemplar set unchanged over ``_CONVERGENCE_WINDOW``
     consecutive iterations.  The work is shared by one worker per CPU,
-    at most one per block and per two columns; the messages are the same
-    whatever the count.
+    at most ``_MAX_WORKERS``, one per block and one per two columns; the
+    messages are the same whatever the count.
     """
     if isinstance(S, (_Nonzeros, _Halves)):
         n, size, rows = len(S.diagonal), S.block_rows, S.rows
@@ -605,21 +612,27 @@ def message_passing(S, config: APConfig) -> tuple[np.ndarray, np.ndarray, int, b
         local = np.arange(hi - lo)
         blocks.append((slice(lo, hi), local, local * (n + 1) + lo))
     # a slab one column wide would be summed pairwise, not row by row
-    count = max(1, min(_cpu_count(), len(blocks), n // 2))
+    count = max(1, min(_cpu_count(), _MAX_WORKERS, len(blocks), n // 2))
     # per worker: its run of blocks, its column slab, and its scratch as
     # the sweep and the fold see it.  The sweep's b x n rows hold one
     # block's a(i,k)+s(i,k), then its new responsibilities, clipped
-    # responsibilities and new availabilities.  The fold's (b+1) x slab
-    # width rows hold a block's clipped responsibilities in rows 1..b,
-    # and in row 0 the slab's column sums of the clipped rows before it
+    # responsibilities and new availabilities; worker 0's follow a row
+    # of the column sums of the clipped rows before the block.  The
+    # fold's (b+1) x slab width rows hold a later block's clipped
+    # responsibilities in rows 1..b, and the slab's running sums in row 0
     runs = [blocks[len(blocks) * w // count : len(blocks) * (w + 1) // count] for w in range(count)]
+    later = blocks[len(runs[0]) :]
     slabs = [slice(n * w // count, n * (w + 1) // count) for w in range(count)]
     sweep_rows, fold_rows = [], []
-    for slab in slabs:
+    for w, slab in enumerate(slabs):
+        # worker 0's fold rows start past its running sums, which every
+        # fold reads
+        height, start = (size + 1, n) if w == 0 else (size, 0)
         width = slab.stop - slab.start
-        scratch = np.empty(max(size * n, (size + 1) * width))
-        sweep_rows.append(scratch[: size * n].reshape(size, n))
-        fold_rows.append(scratch[: (size + 1) * width].reshape(size + 1, width))
+        scratch = np.empty(max(height * n, start + (size + 1) * width))
+        sweep_rows.append(scratch[: height * n].reshape(height, n))
+        fold_rows.append(scratch[start : start + (size + 1) * width].reshape(size + 1, width))
+    running = sweep_rows[0][0]
     # the column sums of the clipped responsibilities of iteration t
     sums = np.empty(n)
     damping = config.damping
@@ -655,32 +668,47 @@ def message_passing(S, config: APConfig) -> tuple[np.ndarray, np.ndarray, int, b
         tmp *= 1.0 - damping
         A_block += tmp
 
+    # folds rows 1..b of ``view``, a block's clipped responsibilities, into
+    # the running sums in its row 0.  One reduce over rows 0..b adds them
+    # row by row, in the order of a whole-matrix sum(axis=0), so the sums
+    # are bitwise equal (numpy buffers the output row that the input
+    # overlaps); adding per-block partial sums would not be
+    def fold_block(view, block, height):
+        fold_from = 1 if block.start == 0 else 0  # the first block has no sums to fold into
+        np.add.reduce(view[fold_from : height + 1], axis=0, out=view[0])
+
     # a worker's sweep sends each of its blocks' availabilities of
     # iteration t, then its responsibilities of t + 1, while the block's
-    # rows of R and A are in cache
+    # rows of R and A are in cache; worker 0 folds its blocks there too,
+    # as they leave the responsibilities
     def sweep(w, availabilities, responsibilities):
+        view = sweep_rows[w]
+        first = 1 if w == 0 else 0  # past worker 0's running sums
         for block, local, diagonal in runs[w]:
-            tmp = sweep_rows[w][: len(local)]
+            tmp = view[first : first + len(local)]
             if availabilities:
                 send_availabilities(tmp, block, diagonal)
             if responsibilities:
                 send_responsibilities(tmp, block, local)
+                if w == 0:
+                    R_block = R[block]
+                    np.maximum(R_block, 0.0, out=tmp)
+                    tmp.flat[diagonal] = R_block.flat[diagonal]
+                    fold_block(view, block, len(local))
 
-    # a worker's fold sums its slab of the clipped responsibilities, block
-    # by block in row order; one reduce over rows 0..b adds a block's rows
-    # to the running sums one after another, in the order of a
-    # whole-matrix sum(axis=0), so the sums are bitwise equal (numpy
-    # buffers the output row that the input overlaps)
+    # a worker's fold adds the later blocks to its slab of worker 0's sums,
+    # block by block in row order, and stores the slab's column sums of
+    # iteration t + 1; columns need no order among themselves
     R_diagonal = R.diagonal()
 
     def fold(w):
         columns, view = slabs[w], fold_rows[w]
-        for block, local, _ in blocks:
+        view[0] = running[columns]
+        for block, local, _ in later:
             tmp = view[1 : len(local) + 1]
             np.maximum(R[block, columns], 0.0, out=tmp)
             _with_diagonal(tmp, block.start, R_diagonal, columns.start)
-            fold_from = 1 if block.start == 0 else 0  # the first block has no sums to fold into
-            np.add.reduce(view[fold_from : len(local) + 1], axis=0, out=view[0])
+            fold_block(view, block, len(local))
         sums[columns] = view[0]
 
     previous: tuple[int, ...] | None = None
@@ -688,8 +716,11 @@ def message_passing(S, config: APConfig) -> tuple[np.ndarray, np.ndarray, int, b
     converged = False
     with _workers(count) as run:
         run(lambda w: sweep(w, False, True))
-        run(fold)
         for iteration in range(1, config.max_iterations + 1):
+            if later:
+                run(fold)
+            else:
+                sums[:] = running
             # the self-availabilities of iteration t, by the operations that
             # the sweep applies to them, so the exemplar set is read first
             self_availability = A.diagonal() * damping + (sums - R.diagonal()) * (1.0 - damping)
@@ -704,7 +735,6 @@ def message_passing(S, config: APConfig) -> tuple[np.ndarray, np.ndarray, int, b
             run(lambda w: sweep(w, True, not last))
             if last:
                 break
-            run(fold)
     return R, A, iteration, converged
 
 

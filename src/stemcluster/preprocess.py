@@ -22,9 +22,11 @@ into a new file that replaces the target only once the write is whole.
 
 from __future__ import annotations
 
+import errno
 import operator
 import os
 import re
+import shutil
 import stat
 from collections import namedtuple
 from contextlib import contextmanager
@@ -162,32 +164,49 @@ def open_for_writing(path):
     cleanly; on any exception, ``KeyboardInterrupt`` included, the new
     file is removed and the target keeps its bytes.  A symlink is followed
     to the file it names, so the link stays a link, and a replaced file
-    keeps its permission bits.  Anything else, a FIFO or a device, is
-    written in place.  Nothing is synced to disk: this holds against
-    exceptions and signals, not against a crash of the machine.
+    keeps its permission bits, but not its owner, which becomes the
+    writer, nor its other hard links, which keep the old bytes.  Anything
+    else, a FIFO or a device, is written in place, and so is a target
+    whose directory refuses the new file (``EACCES``, ``EPERM``) or that
+    cannot be replaced because it is mounted on its own (``EBUSY``,
+    ``EXDEV``); those writes are not all or nothing.  Nothing is synced to
+    disk: this holds against exceptions and signals, not against a crash
+    of the machine.
     """
     try:
         mode = os.stat(path).st_mode
     except FileNotFoundError:
         mode = None
-    if mode is not None and not stat.S_ISREG(mode):
+    temporary = None
+    if mode is None or stat.S_ISREG(mode):
+        target = os.path.realpath(path)
+        try:
+            temporary, descriptor = _new_sibling(target)
+        except PermissionError:  # a directory this user cannot write to
+            pass
+        except OSError as exc:  # named by the target, as opening it in place would be
+            raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    if temporary is None:
         with open(path, "w", encoding="utf-8", newline="") as file:
             yield file
         return
-    target = os.path.realpath(path)
-    try:
-        temporary, descriptor = _new_sibling(target)
-    except OSError as exc:  # named by the target, as opening it in place would be
-        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with open(descriptor, "w", encoding="utf-8", newline="") as file:
             if mode is not None:
                 os.chmod(temporary, stat.S_IMODE(mode))
             yield file
-        os.replace(temporary, target)
+        try:
+            os.replace(temporary, target)
+            return
+        except OSError as exc:
+            if exc.errno not in (errno.EBUSY, errno.EXDEV):
+                raise
+        # a target mounted on its own: its bytes are overwritten in place
+        shutil.copyfile(temporary, target)
     except BaseException:
         os.unlink(temporary)
         raise
+    os.unlink(temporary)
 
 
 def write_lines(path, lines) -> None:

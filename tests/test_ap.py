@@ -65,8 +65,8 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 
 
 def workers_patched(count):
-    """Message passing sees ``count`` CPUs."""
-    return mock.patch.object(ap, "_cpu_count", lambda: count)
+    """Message passing sees ``count`` CPUs and may use them all."""
+    return mock.patch.multiple(ap, _cpu_count=lambda: count, _MAX_WORKERS=count)
 
 
 def random_similarity(rng, n, low=0.0, high=1.0, preference=None):
@@ -585,6 +585,17 @@ class TestRunAP:
                 run_ap(matrix)
         assert threads
 
+    def test_many_cpus_still_run_at_most_max_workers(self):
+        # more workers than were measured would cost a block scratch each
+        n = 40
+        s = random_similarity(np.random.default_rng(4), n)
+        with mock.patch.object(ap, "_BLOCK_BYTES", 2 * 8 * n), \
+                mock.patch.object(ap, "_cpu_count", lambda: 64), \
+                mock.patch.object(ap, "_workers", wraps=ap._workers) as workers:
+            message_passing(s, APConfig(max_iterations=3))
+        workers.assert_called_once_with(ap._MAX_WORKERS)
+        assert ap._MAX_WORKERS == 2
+
     def test_degenerate_when_no_exemplar_emerges(self):
         matrix = matrix_from(np.array([[0.1, 0.9], [0.9, 0.1]]))
         with pytest.raises(DegenerateClusteringError):
@@ -753,8 +764,8 @@ class TestMessagePassing:
         [*(("dense", rows) for rows in [1, 2, 7, "n-1", "n"]),
          *((mode, rows) for mode in [COEFFICIENT, MEDIAN] for rows in [1, 2, "n-1", "n"])],
     )
-    # workers: the count of CPUs message passing sees, capped at the
-    # number of blocks and at n // 2
+    # workers: the count of CPUs message passing sees and may use, capped
+    # at the number of blocks and at n // 2
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @settings(max_examples=60)
     @given(

@@ -8,6 +8,7 @@ as they format, so none holds its file's text whole.
 """
 
 import codecs
+import errno
 import json
 import os
 import stat
@@ -22,6 +23,7 @@ from hypothesis import given, strategies as st
 
 from stemcluster import (
     load_gold,
+    preprocess,
     read_cluster_report,
     read_lexicon,
     read_stem_table,
@@ -171,6 +173,46 @@ def test_a_fifo_target_is_written_in_place(tmp_path):
     assert received == ["কখ\nগঘ\n".encode("utf-8")]
     assert stat.S_ISFIFO(fifo.stat().st_mode)
     assert os.listdir(tmp_path) == ["fifo"]
+
+
+def _refused(*args):
+    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+
+
+def _busy(*args):
+    raise OSError(errno.EBUSY, os.strerror(errno.EBUSY))
+
+
+# a directory that refuses the new file, or a target mounted on its own,
+# is written in place as opening it would write it: same file, new bytes
+@pytest.mark.parametrize(
+    "refusal",
+    [(preprocess, "_new_sibling", _refused), (os, "replace", _busy)],
+    ids=["sibling", "replace"],
+)
+def test_a_target_that_cannot_be_replaced_is_written_in_place(tmp_path, monkeypatch, refusal):
+    path = tmp_path / "a.txt"
+    path.write_bytes(b"old\n")
+    inode = path.stat().st_ino
+    monkeypatch.setattr(*refusal)
+    write_lines(path, ["new"])
+    assert path.read_bytes() == b"new\n"
+    assert path.stat().st_ino == inode
+    assert os.listdir(tmp_path) == ["a.txt"]
+
+
+def test_a_replace_that_fails_otherwise_leaves_the_target_as_it_was(tmp_path, monkeypatch):
+    path = tmp_path / "a.txt"
+    path.write_bytes(b"old\n")
+
+    def failing(*args):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+    monkeypatch.setattr(os, "replace", failing)
+    with pytest.raises(OSError, match=os.strerror(errno.EIO)):
+        write_lines(path, ["new"])
+    assert path.read_bytes() == b"old\n"
+    assert os.listdir(tmp_path) == ["a.txt"]
 
 
 def test_a_target_that_cannot_be_created_is_named_as_opening_it_would_name_it(tmp_path):
