@@ -20,9 +20,11 @@ A store is read two ways only.  ``rows`` decodes one block of
 is the float64 the measure computed.  ``median`` gives the default
 preference from the store, with no dense copy.  ``block_rows`` is
 fixed when the store is built, by ``_BLOCK_BYTES`` then.  Message
-passing decodes into its own scratch, and copies a raw array's rows
-there; the tie-break scale, the exemplar assignment and
-``SimilarityMatrix.s`` read the one decode loop ``_decoded``.
+passing takes a store and decodes into its own scratch; the tie-break
+scale, the exemplar assignment and ``SimilarityMatrix.s`` read the one
+decode loop ``_decoded``.  ``rows`` writes the diagonal through
+``_diagonal``, the one writable view of a block's diagonal entries,
+which message passing uses too.
 
 Each mode is a generator over the lexicon's rows, filled straight into
 its store.  A coefficient row holds word i's nonzero similarities to
@@ -77,10 +79,14 @@ exemplar set {k : r(k,k) + a(k,k) > 0} has been stable for
 threads, W being the CPUs in the process's affinity mask, capped at
 ``_MAX_WORKERS`` (two, the most that has been measured), at the number
 of blocks and at n // 2.  It allocates R, A and one scratch per worker
-once, before the loop, of about (B+1) x n; B is the store's
-``block_rows`` or, for a raw array, the number of rows that fit in
-``_BLOCK_BYTES`` (at least 1, at most n).  Each iteration has two
-phases, and every worker finishes one before any starts the next.
+once, before the loop, of (B+1) x n floats, or (B+2) x n with one
+worker, B being the store's ``block_rows``.  Every worker sees its
+scratch the same two ways: in the sweep as (B+1) x n rows whose row 0
+is reserved, and in the fold as (B+1) x slab width rows that start
+past that row.  Each iteration has two phases, and every worker
+finishes one before any starts the next.
+One rule clips responsibilities for both: max(0, r(i,k)) off the
+diagonal and r(k,k) on it.
 
 - The sweep.  Each worker takes a contiguous run of blocks of B rows,
   and sends a block's availabilities of iteration t and then its
@@ -92,8 +98,8 @@ phases, and every worker finishes one before any starts the next.
   again for the new responsibilities, and blend them into R.  Decoding
   twice keeps a second block buffer out of the run.  Worker 0, whose
   run starts at row 0, then clips the block's new responsibilities and
-  folds them into the running column sums in its scratch's first row
-  with one reduce over rows 0..B.  That reduce adds the rows one after
+  folds them into the running column sums in its reserved row 0 with
+  one reduce over rows 0..B.  That reduce adds the rows one after
   another, as a whole-matrix sum(axis=0) does, so every column's sum is
   bitwise the same; adding per-block partial sums would not be.
 - The fold.  Each worker takes one slab of columns, n w/W to
@@ -101,8 +107,9 @@ phases, and every worker finishes one before any starts the next.
   after worker 0's run the same way, block by block in row order, its
   scratch seen as (B+1) x slab width.  Columns need no order among
   themselves, so the slabs fold side by side.  A slab one column wide
-  would be summed pairwise instead, hence W <= n // 2.  With one worker
-  nothing is left to fold, and an iteration is the single sweep.
+  would be summed pairwise instead, hence W <= n // 2.  The fold runs at
+  every worker count; with one worker no block is left to fold, and it
+  only copies the running sums.
 
 Between the phases the calling thread reads the exemplar set.  That of
 iteration t needs every a(k,k) before the sweep, so it is computed first
@@ -111,12 +118,13 @@ and reads the same bits.  Every element sees the same float64
 operations as in the textbook update, so the messages are bitwise those
 of the version with a dense S and a fresh n x n temporary per step,
 whatever W is.  A run therefore holds R and A, two n x n float64
-arrays, and W block scratches of about ``_BLOCK_BYTES`` beside the store: 0.25 n^2 x 8 B in
-median mode, and between 0 and 1.0 n^2 x 8 B in coefficient mode, as
-above.  R and A are freed before each point's exemplar similarities are
-gathered, one decoded block at a time.  ``config.PEAK_N2`` holds, per
-mode, the process peak that ``estimated_peak`` reports; coefficient
-mode's is its bound, with every block dense.
+arrays, and W block scratches of about ``_BLOCK_BYTES`` beside the
+store: 0.25 n^2 x 8 B in median mode, and between 0 and 1.0 n^2 x 8 B
+in coefficient mode, as above.  R and A are freed before each point's
+exemplar similarities are gathered, one decoded block at a time.
+``config.PEAK_N2`` holds, per mode, the process peak that
+``estimated_peak`` reports; coefficient mode's is its bound, with every
+block dense.
 
 Exactly tied instances (e.g. two identical points with equal preference)
 make the messages perfectly symmetric and every self-belief converges to
@@ -185,18 +193,14 @@ def _block_rows(n: int) -> int:
     return max(1, min(n, _BLOCK_BYTES // (8 * max(n, 1))))
 
 
-def _with_diagonal(
-    block: np.ndarray, lo: int, diagonal: np.ndarray, left: int = 0
-) -> np.ndarray:
-    """``block``, C-contiguous rows lo.. and columns left.. of a matrix,
-    with the diagonal entries among them written."""
-    height, width = block.shape
-    first, stop = max(lo, left), min(lo + height, left + width)
-    if first < stop:
-        # point p's diagonal entry sits at flat offset (p - lo) * width + p - left
-        start = (first - lo) * width + first - left
-        block.reshape(-1)[start :: width + 1][: stop - first] = diagonal[first:stop]
-    return block
+def _diagonal(block: np.ndarray, offset: int) -> np.ndarray:
+    """``block.diagonal(offset)`` of a C-contiguous block, as a writable view.
+
+    Rows lo.. and columns left.. of a matrix hold the matrix's diagonal
+    entries at offset lo - left."""
+    width = block.shape[1]
+    start = offset if offset >= 0 else -offset * width
+    return block.reshape(-1)[start :: width + 1][: len(block.diagonal(offset))]
 
 
 class _Nonzeros(namedtuple("_Nonzeros", "diagonal block_rows blocks")):
@@ -272,7 +276,8 @@ class _Nonzeros(namedtuple("_Nonzeros", "diagonal block_rows blocks")):
             positions, values = stored
             block.fill(0.0)
             block.reshape(-1)[positions] = values
-        return _with_diagonal(block, lo, self.diagonal)
+        _diagonal(block, lo)[:] = self.diagonal[lo:hi]
+        return block
 
 
 class _Halves(namedtuple("_Halves", "diagonal block_rows halves")):
@@ -317,7 +322,8 @@ class _Halves(namedtuple("_Halves", "diagonal block_rows halves")):
         # a cast copy, then one multiply: faster than a mixed-type multiply
         np.copyto(block, self.halves[lo:hi])
         block *= -0.5
-        return _with_diagonal(block, lo, self.diagonal)
+        _diagonal(block, lo)[:] = self.diagonal[lo:hi]
+        return block
 
 
 class SimilarityMatrix(namedtuple("SimilarityMatrix", "words store mode")):
@@ -519,11 +525,8 @@ def _workers(count: int):
 
     The first error in any worker, or in the calling thread, breaks the
     barrier; every thread is joined and that error raised here.  A thread
-    that cannot start is a ``MemoryError``.
+    that cannot start is a ``MemoryError``.  One worker starts no thread.
     """
-    if count == 1:
-        yield lambda phase: phase(0)
-        return
     barrier = threading.Barrier(count)
     errors: list[BaseException] = []
     todo = None  # the phase the workers run next; None ends them
@@ -575,70 +578,57 @@ def _workers(count: int):
 
 
 def message_passing(S, config: APConfig) -> tuple[np.ndarray, np.ndarray, int, bool]:
-    """Iterate the damped updates on a similarity matrix.
+    """Iterate the damped updates on the store of a similarity matrix.
 
-    ``S`` is an n x n array-like of finite numbers, only read, or the
-    store of a ``SimilarityMatrix``, decoded one block of rows at a time.
-    Returns (R, A, iterations run, converged).  Convergence means a
-    non-empty exemplar set unchanged over ``_CONVERGENCE_WINDOW``
-    consecutive iterations.  The work is shared by one worker per CPU,
-    at most ``_MAX_WORKERS``, one per block and one per two columns; the
-    messages are the same whatever the count.
+    ``S`` is a ``SimilarityMatrix``'s store, only read, decoded one block
+    of rows at a time.  Returns (R, A, iterations run, converged).
+    Convergence means a non-empty exemplar set unchanged over
+    ``_CONVERGENCE_WINDOW`` consecutive iterations.  The work is shared by
+    one worker per CPU, at most ``_MAX_WORKERS``, one per block and one
+    per two columns; the messages are the same whatever the count.
     """
-    if isinstance(S, (_Nonzeros, _Halves)):
-        n, size, rows = len(S.diagonal), S.block_rows, S.rows
-    else:
-        s = np.asarray(S, dtype=np.float64)
-        n = len(s) if s.ndim == 2 and s.shape == (len(s), len(s)) else 0
-        # min and max, as in ``SimilarityMatrix``: no n x n temporary
-        if n and not (math.isfinite(s.min()) and math.isfinite(s.max())):
-            raise ConfigError("a similarity matrix for message passing must hold finite numbers")
-        size = _block_rows(n)
-
-        def rows(lo, hi, out):
-            # a copy, not a view: the second read must refill the scratch
-            block = out[: hi - lo]
-            np.copyto(block, s[lo:hi])
-            return block
-
+    n, size, rows = len(S.diagonal), S.block_rows, S.rows
     if n < 2:
         raise ConfigError("message passing needs a square matrix over at least 2 points")
     R = np.zeros((n, n))
     A = np.zeros((n, n))
-    # per block: its row slice, local row numbers and flat diagonal offsets
-    blocks = []
-    for lo in range(0, n, size):
-        hi = min(lo + size, n)
-        local = np.arange(hi - lo)
-        blocks.append((slice(lo, hi), local, local * (n + 1) + lo))
+    blocks = [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
+    row_numbers = np.arange(size)
+    every = slice(0, n)
     # a slab one column wide would be summed pairwise, not row by row
     count = max(1, min(_cpu_count(), _MAX_WORKERS, len(blocks), n // 2))
     # per worker: its run of blocks, its column slab, and its scratch as
-    # the sweep and the fold see it.  The sweep's b x n rows hold one
+    # the sweep and the fold see it.  The sweep's (B+1) x n rows hold one
     # block's a(i,k)+s(i,k), then its new responsibilities, clipped
-    # responsibilities and new availabilities; worker 0's follow a row
-    # of the column sums of the clipped rows before the block.  The
-    # fold's (b+1) x slab width rows hold a later block's clipped
+    # responsibilities and new availabilities, in rows 1..b; worker 0
+    # keeps the column sums of the clipped rows before the block in row 0,
+    # which the others leave unused.  The fold's (B+1) x slab width rows
+    # start past that row and hold a later block's clipped
     # responsibilities in rows 1..b, and the slab's running sums in row 0
     runs = [blocks[len(blocks) * w // count : len(blocks) * (w + 1) // count] for w in range(count)]
     later = blocks[len(runs[0]) :]
     slabs = [slice(n * w // count, n * (w + 1) // count) for w in range(count)]
     sweep_rows, fold_rows = [], []
-    for w, slab in enumerate(slabs):
-        # worker 0's fold rows start past its running sums, which every
-        # fold reads
-        height, start = (size + 1, n) if w == 0 else (size, 0)
+    for slab in slabs:
         width = slab.stop - slab.start
-        scratch = np.empty(max(height * n, start + (size + 1) * width))
-        sweep_rows.append(scratch[: height * n].reshape(height, n))
-        fold_rows.append(scratch[start : start + (size + 1) * width].reshape(size + 1, width))
+        scratch = np.empty(max((size + 1) * n, n + (size + 1) * width))
+        sweep_rows.append(scratch[: (size + 1) * n].reshape(size + 1, n))
+        fold_rows.append(scratch[n : n + (size + 1) * width].reshape(size + 1, width))
     running = sweep_rows[0][0]
     # the column sums of the clipped responsibilities of iteration t
     sums = np.empty(n)
     damping = config.damping
 
-    def send_responsibilities(tmp, block, local):
+    # the clip rule: max(0, r(i,k)) off the diagonal and r(k,k) on it
+    def clip(tmp, block, columns):
+        R_part = R[block, columns]
+        np.maximum(R_part, 0.0, out=tmp)
+        offset = block.start - columns.start
+        _diagonal(tmp, offset)[:] = R_part.diagonal(offset)
+
+    def send_responsibilities(tmp, block):
         R_block = R[block]
+        local = row_numbers[: len(tmp)]
         # the block of S is decoded into tmp twice, for a+s and for s,
         # so a worker holds no second block buffer
         np.add(rows(block.start, block.stop, tmp), A[block], out=tmp)
@@ -655,25 +645,27 @@ def message_passing(S, config: APConfig) -> tuple[np.ndarray, np.ndarray, int, b
 
     # the availabilities follow the textbook operation order; a negated
     # ``tmp -= sums`` could flip zeros' signs
-    def send_availabilities(tmp, block, diagonal):
-        R_block = R[block]
-        np.maximum(R_block, 0.0, out=tmp)
-        tmp.flat[diagonal] = R_block.flat[diagonal]
+    def send_availabilities(tmp, block):
+        clip(tmp, block, every)
         np.subtract(sums[None, :], tmp, out=tmp)
-        self_availability = tmp.flat[diagonal]  # fancy indexing copies
+        own = _diagonal(tmp, block.start)
+        self_availability = own.copy()
         np.minimum(tmp, 0.0, out=tmp)
-        tmp.flat[diagonal] = self_availability
+        own[:] = self_availability
         A_block = A[block]
         A_block *= damping
         tmp *= 1.0 - damping
         A_block += tmp
 
-    # folds rows 1..b of ``view``, a block's clipped responsibilities, into
-    # the running sums in its row 0.  One reduce over rows 0..b adds them
-    # row by row, in the order of a whole-matrix sum(axis=0), so the sums
-    # are bitwise equal (numpy buffers the output row that the input
-    # overlaps); adding per-block partial sums would not be
-    def fold_block(view, block, height):
+    # clips the responsibilities of ``block`` over ``columns`` into rows
+    # 1..b of ``view`` and folds them into the running sums in its row 0.
+    # One reduce over rows 0..b adds them row by row, in the order of a
+    # whole-matrix sum(axis=0), so the sums are bitwise equal (numpy
+    # buffers the output row that the input overlaps); adding per-block
+    # partial sums would not be
+    def fold_block(view, block, columns):
+        height = block.stop - block.start
+        clip(view[1 : height + 1], block, columns)
         fold_from = 1 if block.start == 0 else 0  # the first block has no sums to fold into
         np.add.reduce(view[fold_from : height + 1], axis=0, out=view[0])
 
@@ -683,32 +675,24 @@ def message_passing(S, config: APConfig) -> tuple[np.ndarray, np.ndarray, int, b
     # as they leave the responsibilities
     def sweep(w, availabilities, responsibilities):
         view = sweep_rows[w]
-        first = 1 if w == 0 else 0  # past worker 0's running sums
-        for block, local, diagonal in runs[w]:
-            tmp = view[first : first + len(local)]
+        for block in runs[w]:
+            tmp = view[1 : block.stop - block.start + 1]
             if availabilities:
-                send_availabilities(tmp, block, diagonal)
+                send_availabilities(tmp, block)
             if responsibilities:
-                send_responsibilities(tmp, block, local)
+                send_responsibilities(tmp, block)
                 if w == 0:
-                    R_block = R[block]
-                    np.maximum(R_block, 0.0, out=tmp)
-                    tmp.flat[diagonal] = R_block.flat[diagonal]
-                    fold_block(view, block, len(local))
+                    fold_block(view, block, every)
 
     # a worker's fold adds the later blocks to its slab of worker 0's sums,
     # block by block in row order, and stores the slab's column sums of
-    # iteration t + 1; columns need no order among themselves
-    R_diagonal = R.diagonal()
-
+    # iteration t + 1; columns need no order among themselves.  With one
+    # worker no block is later, and the fold copies the sums
     def fold(w):
         columns, view = slabs[w], fold_rows[w]
         view[0] = running[columns]
-        for block, local, _ in later:
-            tmp = view[1 : len(local) + 1]
-            np.maximum(R[block, columns], 0.0, out=tmp)
-            _with_diagonal(tmp, block.start, R_diagonal, columns.start)
-            fold_block(view, block, len(local))
+        for block in later:
+            fold_block(view, block, columns)
         sums[columns] = view[0]
 
     previous: tuple[int, ...] | None = None
@@ -717,10 +701,7 @@ def message_passing(S, config: APConfig) -> tuple[np.ndarray, np.ndarray, int, b
     with _workers(count) as run:
         run(lambda w: sweep(w, False, True))
         for iteration in range(1, config.max_iterations + 1):
-            if later:
-                run(fold)
-            else:
-                sums[:] = running
+            run(fold)
             # the self-availabilities of iteration t, by the operations that
             # the sweep applies to them, so the exemplar set is read first
             self_availability = A.diagonal() * damping + (sums - R.diagonal()) * (1.0 - damping)

@@ -169,14 +169,20 @@ def cmd_train(args) -> int:
         # the run's fields of the cluster report
         run = {"exemplars": result.exemplars, "mode": result.mode,
                "converged": result.converged, "iterations": result.iterations}
-    from .clusters import write_cluster_report
+    from .clusters import write_cluster_report_to
     from .evaluation import report_stats
-    from .greedy import stem_table_from_clusters, write_stem_table
+    from .greedy import stem_table_from_clusters, write_stem_table_to
+    from .preprocess import open_for_writing
     # a stem table that cannot be built is refused before any artifact is
-    # written; it is written and freed before the report's payload is built
-    write_stem_table(stem_table_from_clusters(clusters, order=order, threshold=threshold),
-                     args.stem_table)
-    write_cluster_report(args.report, clusters, **run)
+    # written; it is written and freed before the report's payload is built.
+    # Neither target is replaced before both new files are whole: the
+    # report replaces its target, then the stem table its own
+    table = stem_table_from_clusters(clusters, order=order, threshold=threshold)
+    with open_for_writing(args.stem_table) as table_file:
+        write_stem_table_to(table, table_file, args.stem_table)
+        del table
+        with open_for_writing(args.report) as report_file:
+            write_cluster_report_to(report_file, clusters, **run)
     if run:
         if not run["converged"]:
             print(f"warning: not converged after {run['iterations']} iterations", file=sys.stderr)

@@ -72,18 +72,34 @@ def write_cluster_report(
     converged: bool | None = None,
     iterations: int | None = None,
 ) -> None:
-    """Write the cluster report JSON.
+    """Write the cluster report JSON through ``open_for_writing``, by
+    ``write_cluster_report_to``: a write that fails midway, or clusters
+    that ``read_cluster_report`` would refuse, leave the target as it was.
+    """
+    with open_for_writing(path) as file:
+        write_cluster_report_to(file, clusters, exemplars=exemplars, mode=mode,
+                                converged=converged, iterations=iterations)
+
+
+def write_cluster_report_to(
+    file,
+    clusters,
+    *,
+    exemplars=None,
+    mode: str | None = None,
+    converged: bool | None = None,
+    iterations: int | None = None,
+) -> None:
+    """``write_cluster_report`` into an open text file.
 
     Plain runs produce a bare array of {stem, members}.  When the
     exemplar-based backend supplies its exemplars (and with them its
     mode, converged and iterations), each entry gains its exemplar and the
     array is wrapped in an object carrying {mode, converged, iterations}.
-    The JSON is written as it is encoded, so its text is never held whole,
-    through ``open_for_writing``: a write that fails midway leaves the
-    target as it was.
+    The JSON is written as it is encoded, so its text is never held whole.
 
     Clusters that ``read_cluster_report`` would refuse are refused before
-    the file is opened: first by ``check_partition``, then by ``Cluster``,
+    anything is written: first by ``check_partition``, then by ``Cluster``,
     through which each cluster is made again, so a record that skipped its
     rules (``Cluster._make``, ``_replace``, or any object with ``stem`` and
     ``members``) is caught too.
@@ -105,9 +121,8 @@ def write_cluster_report(
             "iterations": iterations,
             "clusters": entries,
         }
-    with open_for_writing(path) as file:
-        json.dump(payload, file, ensure_ascii=False, indent=2)
-        file.write("\n")
+    json.dump(payload, file, ensure_ascii=False, indent=2)
+    file.write("\n")
 
 
 def read_cluster_report(path) -> tuple[list[Cluster], dict]:

@@ -41,9 +41,10 @@ scan's at every budget; a budget of 1 scores the seeds one at a time.
 backend; ``stem_word`` and the ``stem`` command look words up through
 ``StemTable.get``, which cleans a query only when it misses as given.
 ``StemTable`` checks the order and threshold of its header.  The table
-file is written by ``preprocess.write_lines``, once no row is one the
-reader would refuse or skip, and read by ``preprocess.read_lines``,
-which refuses a carriage return.
+file is written through ``preprocess.open_for_writing``, a chunk of rows
+at a time, each checked for a row the reader would refuse or skip
+before it is written, and read by ``preprocess.read_lines``, which
+refuses a carriage return.
 
 numpy is imported inside ``cluster_greedy`` alone, so the commands that
 only read or write a stem table start without it.
@@ -53,13 +54,13 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from itertools import chain
 
 from .clusters import Cluster, check_partition
 from .config import MEDIAN, GreedyConfig
 from .errors import ConfigError, FormatError
 from .ngrams import GRAM_ORDERS, dice_ratio, gram_index
-from .preprocess import _WRITE_CHUNK, Lexicon, parse_word_pairs, read_lines, tokenize, write_lines
+from .preprocess import (_WRITE_CHUNK, Lexicon, open_for_writing, parse_word_pairs, read_lines,
+                         tokenize, write_lines_to)
 
 _TABLE_MAGIC = "#stemcluster v1"
 # the one header form write_stem_table writes
@@ -197,24 +198,36 @@ def _readable(words, stems) -> bool:
 def write_stem_table(table: StemTable, path) -> None:
     """TSV rows sorted by word under a `#stemcluster v1` header, LF, UTF-8.
 
-    A table with a row that ``read_stem_table`` would refuse or skip is
-    refused before the file is opened.
+    Written through ``open_for_writing`` by ``write_stem_table_to``, so a
+    table with a row that ``read_stem_table`` would refuse or skip leaves
+    the target as it was.
+    """
+    with open_for_writing(path) as file:
+        write_stem_table_to(table, file, path)
+
+
+def write_stem_table_to(table: StemTable, file, path) -> None:
+    """``write_stem_table`` into an open text file, its target named ``path``.
+
+    Rows are checked a chunk at a time as they are written, so the check
+    holds no copy of a whole column; the first row that ``read_stem_table``
+    would refuse or skip raises ``FormatError`` before its chunk is written.
     """
     entries = table.entries
     words = sorted(entries)
-    # a chunk of rows at a time, so the check holds no copy of a whole column
+    threshold = "-" if table.threshold is None else repr(table.threshold)
+    write_lines_to(file, [f"{_TABLE_MAGIC} order={table.order} threshold={threshold}"])
     for start in range(0, len(words), _WRITE_CHUNK):
         chunk = words[start : start + _WRITE_CHUNK]
-        if not _readable(chunk, list(map(entries.__getitem__, chunk))):
+        stems = list(map(entries.__getitem__, chunk))
+        if not _readable(chunk, stems):
             word = next(word for word in chunk if not _readable([word], [entries[word]]))
             raise FormatError(
                 f"cannot write the row {word!r} -> {entries[word]!r}: a word or stem is empty "
                 "or holds a TAB, LF or CR, or a word starts with '#'",
                 path=path,
             )
-    threshold = "-" if table.threshold is None else repr(table.threshold)
-    header = f"{_TABLE_MAGIC} order={table.order} threshold={threshold}"
-    write_lines(path, chain([header], (f"{word}\t{entries[word]}" for word in words)))
+        write_lines_to(file, map("\t".join, zip(chunk, stems)))
 
 
 def read_stem_table(path) -> StemTable:

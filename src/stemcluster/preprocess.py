@@ -217,11 +217,16 @@ def write_lines(path, lines) -> None:
     fails midway, on a full disk or an unencodable line, leaves the target
     as it was.
     """
-    lines = iter(lines)
     with open_for_writing(path) as file:
-        while chunk := list(islice(lines, _WRITE_CHUNK)):
-            file.write("\n".join(chunk))
-            file.write("\n")
+        write_lines_to(file, lines)
+
+
+def write_lines_to(file, lines) -> None:
+    """``write_lines`` into an open text file, ``_WRITE_CHUNK`` lines at a time."""
+    lines = iter(lines)
+    while chunk := list(islice(lines, _WRITE_CHUNK)):
+        file.write("\n".join(chunk))
+        file.write("\n")
 
 
 def parse_word_pairs(lines: list[str], value: str, path) -> dict[str, str]:

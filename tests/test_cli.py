@@ -193,6 +193,21 @@ class TestTrain:
         assert capsys.readouterr().err == "error: refused\n"
         assert os.listdir(out) == []
 
+    def test_a_report_that_cannot_be_written_leaves_the_old_stem_table(
+        self, tmp_path, demo_expected_dir, capsys
+    ):
+        # the stem table is written first, but its target is replaced only
+        # once the report is whole too
+        table = tmp_path / "t.tsv"
+        table.write_bytes(b"old\n")
+        code = run_cli("train", str(demo_expected_dir / "lexicon.txt"), "--stem-table",
+                       str(table), "--report", str(tmp_path / "missing" / "r.json"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert table.read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["t.tsv"]
+
     def test_stem_table_round_trips(self, trained):
         table = read_stem_table(trained["table"])
         assert len(table.entries) == 48

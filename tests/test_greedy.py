@@ -564,7 +564,7 @@ class TestClusterReportFiles:
                        converged=True, iterations=3)
         with pytest.raises(error):
             write_cluster_report(path, iter(clusters), **run)
-        # refused before the target is opened, so the old report is untouched
+        # refused before anything is written, so the old report is untouched
         assert path.read_bytes() == before
 
     def test_writer_takes_any_iterable_of_clusters(self, tmp_path):

@@ -287,7 +287,7 @@ def test_stem_table_writer_refuses_a_row_its_reader_cannot_read_back(
         write_stem_table(table, path)
     assert str(path) in str(err.value)
     assert repr(word) in str(err.value)
-    # refused before the target is opened, so the old table is untouched
+    # refused as its chunk of rows is written, so the old table is untouched
     assert path.read_bytes() == before
 
 
