@@ -738,6 +738,35 @@ class TestMessagePassing:
         with pytest.raises(ConfigError):
             message_passing(ap._Nonzeros.from_dense(np.zeros((1, 1))), APConfig())
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("i, j", [(0, 0), (1, 1), (0, 1)])
+    def test_rejects_a_non_finite_entry(self, value, i, j):
+        # message passing reads only stores, and a store is refused a
+        # non-finite entry before anything is stored, in either mode; one
+        # would otherwise spread to every message in the first iteration
+        s = np.array([[0.5, 0.0], [0.0, 0.5]])
+        s[i, j] = s[j, i] = value
+        message = "finite" if i == j else "symmetric" if np.isnan(value) else "out of range"
+        for mode, store in [(COEFFICIENT, ap._Nonzeros), (MEDIAN, ap._Halves)]:
+            with mock.patch.object(store, "from_dense", side_effect=AssertionError):
+                with pytest.raises(ConfigError, match=message):
+                    matrix_from(s, mode=mode)
+
+    def test_takes_any_array_like(self):
+        # through the store that SimilarityMatrix encodes it into
+        words = ("a", "b", "c")
+        s = [[0.5, 0.9, 0.25], [0.9, 0.5, 0.0], [0.25, 0.0, 0.5]]
+        from_list = message_passing(SimilarityMatrix(words, s, COEFFICIENT).store, APConfig())
+        from_array = message_passing(
+            SimilarityMatrix(words, np.array(s), COEFFICIENT).store, APConfig()
+        )
+        assert from_list[2:] == from_array[2:]
+        assert from_list[0].tobytes() == from_array[0].tobytes()
+        assert from_list[1].tobytes() == from_array[1].tobytes()
+        for not_square in ([0.5, 0.9], [s, s], 0.5, [[0.5, 0.9]]):
+            with pytest.raises(ConfigError, match="must be 3x3"):
+                SimilarityMatrix(words, not_square, COEFFICIENT)
+
     # rows per block: fixed counts, capped at n, and n - 1, which leaves a
     # last block of one row; 40 rows in blocks of 7 end in a block of 5.
     # S is the coefficient store of any finite array, or each mode's store
