@@ -186,6 +186,14 @@ _MAX_WORKERS = 2
 # message passing converges once a non-empty exemplar set stays the same for
 # this many iterations
 _CONVERGENCE_WINDOW = 15
+# a coefficient store's messages are held compactly while at most this share
+# of its off-diagonal pairs is explicit.  Over random stores of 1 200 points,
+# 10 iterations, compact against dense on two workers: 35 / 88 ms at a share
+# of 0.1, 72 / 94 ms at 0.2, 105 / 97 ms at 0.3, 170 / 102 ms at 0.5
+_COMPACT_SHARE = 0.25
+# the leading columns of the availability order that each row is first
+# searched for its first background column
+_WINDOW = 16
 
 
 def _block_rows(n: int) -> int:
@@ -241,6 +249,11 @@ class _Nonzeros(namedtuple("_Nonzeros", "diagonal block_rows blocks")):
 
         return cls.from_rows(s.diagonal().copy(), rows())
 
+    def stored(self) -> int:
+        """The number of off-diagonal nonzeros."""
+        return sum(np.count_nonzero(b) if isinstance(b, np.ndarray) else len(b[1])
+                   for b in self.blocks)
+
     def median(self) -> float:
         """``np.median`` of the off-diagonal, from its zero count and its nonzeros."""
         # each nonzero is stored as (i, j) and (j, i), so the upper triangle
@@ -248,8 +261,7 @@ class _Nonzeros(namedtuple("_Nonzeros", "diagonal block_rows blocks")):
         # zeros come before them
         n = len(self.diagonal)
         ranks = _middle_ranks(n)
-        stored_values = (b if isinstance(b, np.ndarray) else b[1] for b in self.blocks)
-        upper = np.empty(sum(map(np.count_nonzero, stored_values)) // 2)
+        upper = np.empty(self.stored() // 2)
         filled = 0
         for lo, stored in zip(range(0, n, self.block_rows), self.blocks):
             if isinstance(stored, np.ndarray):
@@ -577,21 +589,223 @@ def _workers(count: int):
         thread.join()
 
 
-def message_passing(S, config: APConfig) -> tuple[np.ndarray, np.ndarray, int, bool]:
-    """Iterate the damped updates on the store of a similarity matrix.
+class _Window:
+    """The convergence test: a non-empty exemplar set unchanged over
+    ``_CONVERGENCE_WINDOW`` consecutive iterations."""
 
-    ``S`` is a ``SimilarityMatrix``'s store, only read, decoded one block
-    of rows at a time.  Returns (R, A, iterations run, converged).
-    Convergence means a non-empty exemplar set unchanged over
-    ``_CONVERGENCE_WINDOW`` consecutive iterations.  The work is shared by
-    one worker per CPU, at most ``_MAX_WORKERS``, one per block and one
-    per two columns; the messages are the same whatever the count.
+    def __init__(self):
+        self.previous: tuple[int, ...] | None = None
+        self.stable = 0
+
+    def converged(self, exemplars: tuple[int, ...]) -> bool:
+        self.stable = self.stable + 1 if exemplars == self.previous else 0
+        self.previous = exemplars
+        return bool(exemplars) and self.stable >= _CONVERGENCE_WINDOW - 1
+
+
+class _Dense(namedtuple("_Dense", "R A")):
+    """The messages as two n x n arrays."""
+
+    __slots__ = ()
+
+    def decoded(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.R, self.A
+
+    def beliefs(self) -> np.ndarray:
+        return self.R.diagonal() + self.A.diagonal()
+
+
+class _Compact:
+    """The messages of a coefficient store, whose every other pair is +0.0.
+
+    The explicit entries sit in row-major order: their columns ``cols``,
+    similarities ``s``, responsibilities ``r`` and availabilities ``a``.
+    They are the stored pairs, the diagonal, the argmax exceptions and
+    the promoted rows.  Row i's run from ``starts[i]`` to
+    ``starts[i + 1]``, and its diagonal entry sits at ``diagonal[i]``.
+    Every other entry (i, k) holds ``rho[i]`` in R and ``alpha[k]`` in A.
     """
+
+    def __init__(self, S: _Nonzeros):
+        n = self.n = len(S.diagonal)
+        rows, cols, values = [np.arange(n)], [np.arange(n)], [S.diagonal]
+        for lo, stored in zip(range(0, n, S.block_rows), S.blocks):
+            if isinstance(stored, np.ndarray):
+                positions = np.flatnonzero(stored)
+                values.append(stored.reshape(-1)[positions])
+            else:
+                positions, block_values = stored
+                values.append(block_values)
+            rows.append(positions // n + lo)
+            cols.append(positions % n)
+        keys = np.concatenate(rows) * n + np.concatenate(cols)
+        order = np.argsort(keys)
+        keys = keys[order]
+        self.cols = keys % n
+        self.s = np.concatenate(values)[order]
+        self.r = np.zeros(len(keys))
+        self.a = np.zeros(len(keys))
+        self.starts = np.searchsorted(keys, np.arange(n + 1) * n)
+        self.diagonal = np.searchsorted(keys, np.arange(n) * (n + 1))
+        self.rho = np.zeros(n)
+        self.alpha = np.zeros(n)
+
+    def keys(self) -> np.ndarray:
+        """The flat position i * n + k of each explicit entry (i, k)."""
+        n = self.n
+        return np.repeat(np.arange(n) * n, np.diff(self.starts)) + self.cols
+
+    def insert(self, keys: np.ndarray, r, a) -> None:
+        """Makes the entries at the ascending flat positions ``keys``
+        explicit, each with s = +0.0 and the given r and a."""
+        n = self.n
+        at = np.searchsorted(self.keys(), keys)
+        rows, cols = np.divmod(keys, n)
+        self.cols = np.insert(self.cols, at, cols)
+        self.s = np.insert(self.s, at, 0.0)
+        self.r = np.insert(self.r, at, r)
+        self.a = np.insert(self.a, at, a)
+        self.starts[1:] += np.cumsum(np.bincount(rows, minlength=n))
+        self.diagonal += np.searchsorted(keys, np.arange(n) * (n + 1))
+
+    def promote(self, rows: np.ndarray) -> None:
+        """Makes every entry of the ascending ``rows`` explicit, as it
+        stands: r = rho[i] and a = alpha[k]."""
+        counts = np.diff(self.starts)[rows]
+        taken = np.zeros((len(rows), self.n), dtype=bool)
+        offsets = np.cumsum(counts) - counts - self.starts[rows]
+        entries = np.arange(counts.sum()) - np.repeat(offsets, counts)
+        taken[np.repeat(np.arange(len(rows)), counts), self.cols[entries]] = True
+        local, cols = np.nonzero(~taken)
+        del taken
+        self.insert(rows[local] * self.n + cols, self.rho[rows[local]], self.alpha[cols])
+
+    def first_background(self, order: np.ndarray) -> np.ndarray:
+        """Each row's first column in ``order`` that is not explicit, or n."""
+        n = self.n
+        rank = np.empty(n, dtype=np.intp)
+        rank[order] = np.arange(n)
+        ranks = rank[self.cols]
+        # the leading columns of the order, taken or not, per row
+        width = min(_WINDOW, n)
+        near = np.flatnonzero(ranks < width)
+        taken = np.zeros((n, width), dtype=bool)
+        taken[np.searchsorted(self.starts, near, side="right") - 1, ranks[near]] = True
+        place = np.argmin(taken, axis=1)
+        first = np.where(taken[np.arange(n), place], n, order[place])
+        # the rows that take all of them but not every column: their
+        # ascending ranks q_0, q_1, ... pass over rank m while q_m = m
+        for i in np.flatnonzero((first == n) & (np.diff(self.starts) < n)):
+            q = np.sort(ranks[self.starts[i] : self.starts[i + 1]])
+            first[i] = order[np.count_nonzero(q == np.arange(len(q)))]
+        return first
+
+    def decoded(self) -> tuple[np.ndarray, np.ndarray]:
+        """R and A as n x n arrays.  This is the record's last use: each
+        explicit array is let go once it has been read."""
+        n = self.n
+        keys = self.keys()
+        del self.cols, self.s
+        R = np.empty((n, n))
+        R[:] = self.rho[:, None]
+        R.reshape(-1)[keys] = self.r
+        del self.r
+        A = np.empty((n, n))
+        A[:] = self.alpha
+        A.reshape(-1)[keys] = self.a
+        del self.a
+        return R, A
+
+    def beliefs(self) -> np.ndarray:
+        return self.r[self.diagonal] + self.a[self.diagonal]
+
+
+def _compact_passing(S: _Nonzeros, config: APConfig, limit: float):
+    """Message passing over the compact messages of a coefficient store,
+    until more than ``limit`` off-diagonal entries would be explicit."""
+    m = _Compact(S)
+    n = m.n
+    damping = config.damping
+    window = _Window()
+    for iteration in range(1, config.max_iterations + 1):
+        # each row's largest a(i,k) + s(i,k) and its first column, over the
+        # explicit entries and over the others, alpha[k] + 0.0, taken in
+        # descending order with ties in ascending column order, as argmax
+        # takes them.  A column of the others that wins turns explicit,
+        # and the rows are read again
+        while True:
+            counts = np.diff(m.starts)
+            summed = m.a + m.s
+            top = np.maximum.reduceat(summed, m.starts[:-1])
+            at_top = np.flatnonzero(summed == np.repeat(top, counts))
+            rows = np.searchsorted(m.starts, at_top, side="right") - 1
+            best = at_top[np.r_[True, rows[1:] != rows[:-1]]]
+            if len(best) != n:  # a row whose maximum is nan
+                raise FloatingPointError("invalid value in message passing")
+            first_max = summed[best]
+            column = m.first_background(np.argsort(-m.alpha, kind="stable"))
+            background = np.where(column < n, m.alpha[column % n] + 0.0, -np.inf)
+            wins = (background > first_max) | (
+                (background == first_max) & (column < m.cols[best]))
+            if not wins.any():
+                break
+            rows = np.flatnonzero(wins)
+            m.insert(rows * n + column[rows], m.rho[rows], m.alpha[column[rows]])
+        summed[best] = -np.inf
+        second_max = np.maximum.reduceat(summed, m.starts[:-1])
+        np.maximum(second_max, background, out=second_max)
+        new = np.repeat(first_max, counts)
+        np.subtract(m.s, new, out=new)
+        new[best] = m.s[best] - second_max
+        m.r *= damping
+        new *= 1.0 - damping
+        m.r += new
+        fresh = 0.0 - first_max
+        m.rho *= damping
+        fresh *= 1.0 - damping
+        m.rho += fresh
+
+        # a row whose other entries clip to anything but +0.0 turns explicit;
+        # one that would take the explicit entries past the limit sends the
+        # run on over dense R and A, decoded from these
+        clipped = np.maximum(m.rho, 0.0)
+        promoted = np.flatnonzero(((clipped != 0.0) | np.signbit(clipped)) & (counts < n))
+        if promoted.size:
+            if len(m.cols) - n + (n - counts[promoted]).sum() > limit:
+                start = _Dense(*m.decoded())
+                del m
+                return _dense_passing(S, config, window, start, iteration)
+            m.promote(promoted)
+
+        clipped = np.maximum(m.r, 0.0)
+        clipped[m.diagonal] = m.r[m.diagonal]
+        # bincount adds each column in row order from +0.0, as sum(axis=0)
+        # does, and the +0.0 of every other entry changes no sum
+        sums = np.bincount(m.cols, weights=clipped, minlength=n)
+        new = sums[m.cols]
+        new -= clipped
+        own = new[m.diagonal]
+        np.minimum(new, 0.0, out=new)
+        new[m.diagonal] = own
+        m.a *= damping
+        new *= 1.0 - damping
+        m.a += new
+        fresh = np.minimum(sums, 0.0)
+        m.alpha *= damping
+        fresh *= 1.0 - damping
+        m.alpha += fresh
+        if window.converged(tuple(np.flatnonzero(m.beliefs() > 0.0))):
+            return m, iteration, True
+    return m, iteration, False
+
+
+def _dense_passing(S, config: APConfig, window: _Window, start: _Dense | None = None,
+                   first: int = 1):
+    """Message passing over dense R and A, from iteration 1, or from
+    ``start``: the responsibilities of iteration ``first`` and the
+    availabilities before it."""
     n, size, rows = len(S.diagonal), S.block_rows, S.rows
-    if n < 2:
-        raise ConfigError("message passing needs a square matrix over at least 2 points")
-    R = np.zeros((n, n))
-    A = np.zeros((n, n))
+    R, A = start or (np.zeros((n, n)), np.zeros((n, n)))
     blocks = [slice(lo, min(lo + size, n)) for lo in range(0, n, size)]
     row_numbers = np.arange(size)
     every = slice(0, n)
@@ -618,7 +832,6 @@ def message_passing(S, config: APConfig) -> tuple[np.ndarray, np.ndarray, int, b
     # the column sums of the clipped responsibilities of iteration t
     sums = np.empty(n)
     damping = config.damping
-
     # the clip rule: max(0, r(i,k)) off the diagonal and r(k,k) on it
     def clip(tmp, block, columns):
         R_part = R[block, columns]
@@ -695,28 +908,60 @@ def message_passing(S, config: APConfig) -> tuple[np.ndarray, np.ndarray, int, b
             fold_block(view, block, columns)
         sums[columns] = view[0]
 
-    previous: tuple[int, ...] | None = None
-    stable = 0
-    converged = False
+
     with _workers(count) as run:
-        run(lambda w: sweep(w, False, True))
-        for iteration in range(1, config.max_iterations + 1):
+        if start is None:
+            run(lambda w: sweep(w, False, True))
+        else:
+            # the responsibilities of iteration ``first`` are sent already:
+            # worker 0's run of them is folded as its sweep would have
+            for block in runs[0]:
+                fold_block(sweep_rows[0], block, every)
+        for iteration in range(first, config.max_iterations + 1):
             run(fold)
             # the self-availabilities of iteration t, by the operations that
             # the sweep applies to them, so the exemplar set is read first
             self_availability = A.diagonal() * damping + (sums - R.diagonal()) * (1.0 - damping)
-            exemplars = tuple(np.flatnonzero(R.diagonal() + self_availability > 0.0))
-            if exemplars == previous:
-                stable += 1
-            else:
-                stable = 0
-            previous = exemplars
-            converged = bool(exemplars) and stable >= _CONVERGENCE_WINDOW - 1
+            converged = window.converged(
+                tuple(np.flatnonzero(R.diagonal() + self_availability > 0.0)))
             last = converged or iteration == config.max_iterations
             run(lambda w: sweep(w, True, not last))
             if last:
                 break
-    return R, A, iteration, converged
+    return _Dense(R, A), iteration, converged
+
+
+def _messages(S, config: APConfig):
+    """(messages, iterations run, converged) of the store ``S``: compact
+    while a coefficient store keeps at most ``_COMPACT_SHARE`` of the
+    off-diagonal pairs, dense otherwise."""
+    n = len(S.diagonal)
+    if n < 2:
+        raise ConfigError("message passing needs a square matrix over at least 2 points")
+    limit = _COMPACT_SHARE * n * (n - 1)
+    # a -0.0 on the diagonal is the one similarity whose new responsibility
+    # reads the sign of a zero second maximum, which the compact rows take
+    # in another order than a dense row
+    if (isinstance(S, _Nonzeros) and S.stored() <= limit
+            and not (np.signbit(S.diagonal) & (S.diagonal == 0.0)).any()):
+        return _compact_passing(S, config, limit)
+    return _dense_passing(S, config, _Window())
+
+
+def message_passing(S, config: APConfig) -> tuple[np.ndarray, np.ndarray, int, bool]:
+    """Iterate the damped updates on the store of a similarity matrix.
+
+    ``S`` is a ``SimilarityMatrix``'s store, only read.  Returns (R, A,
+    iterations run, converged), R and A as n x n arrays whichever layout
+    the run held them in.  Convergence means a non-empty exemplar set
+    unchanged over ``_CONVERGENCE_WINDOW`` consecutive iterations.  Over
+    dense messages the work is shared by one worker per CPU, at most
+    ``_MAX_WORKERS``, one per block and one per two columns; the messages
+    are the same whatever the layout and the count.
+    """
+    messages, iterations, converged = _messages(S, config)
+    R, A = messages.decoded()
+    return R, A, iterations, converged
 
 
 def run_ap(matrix: SimilarityMatrix, config: APConfig | None = None) -> APResult:
@@ -739,14 +984,14 @@ def run_ap(matrix: SimilarityMatrix, config: APConfig | None = None) -> APResult
     try:
         lowered = store._replace(diagonal=diagonal - np.arange(n) * (scale * _TIE_BREAK))
         with np.errstate(over="raise", invalid="raise"):
-            R, A, iterations, converged = message_passing(lowered, cfg)
+            messages, iterations, converged = _messages(lowered, cfg)
     except FloatingPointError:
         raise ConfigError(
             f"similarities too large for message passing (largest magnitude {scale:g}); "
             "use a preference of smaller magnitude"
         ) from None
-    beliefs = R.diagonal() + A.diagonal()
-    del R, A  # free the messages before the exemplar similarities are gathered
+    beliefs = messages.beliefs()
+    del messages  # free the messages before the exemplar similarities are gathered
     exemplar_indices = np.flatnonzero(beliefs > 0.0)
     if exemplar_indices.size == 0:
         raise DegenerateClusteringError(

@@ -3,6 +3,8 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from collections import Counter
+from contextlib import contextmanager
 from itertools import product
 from statistics import median as stat_median
 from unittest import mock
@@ -76,6 +78,59 @@ def random_similarity(rng, n, low=0.0, high=1.0, preference=None):
         preference = float(np.median(s[~np.eye(n, dtype=bool)]))
     np.fill_diagonal(s, preference)
     return s
+
+
+def sparse_similarity(rng, n, preference, subnormal=False):
+    """A coefficient matrix with about 9% of its pairs nonzero and
+    ``preference`` on the diagonal; subnormal similarities are 1 to 3 times
+    the smallest, so that messages round to signed zeros."""
+    values = (rng.integers(1, 4, size=(n, n)) * 5e-324 if subnormal
+              else rng.uniform(0.0, 1.0, size=(n, n)))
+    mask = rng.random((n, n)) < 0.7
+    s = np.where(mask | mask.T, 0.0, np.minimum(values, values.T))
+    np.fill_diagonal(s, preference)
+    return s
+
+
+@contextmanager
+def compact_events():
+    """Counts the compact layout's events: promoted rows, argmax exception
+    entries and runs sent on over dense messages."""
+    events = Counter()
+    promote, insert, dense = ap._Compact.promote, ap._Compact.insert, ap._dense_passing
+    promoting = []
+
+    def count_promote(messages, rows):
+        events["promoted"] += len(rows)
+        promoting.append(True)
+        try:
+            return promote(messages, rows)
+        finally:
+            promoting.pop()
+
+    def count_insert(messages, keys, r, a):
+        if not promoting:
+            events["exceptions"] += len(keys)
+        return insert(messages, keys, r, a)
+
+    def count_dense(S, config, window, start=None, first=1):
+        events["switched"] += start is not None
+        return dense(S, config, window, start, first)
+
+    with mock.patch.object(ap._Compact, "promote", count_promote), \
+            mock.patch.object(ap._Compact, "insert", count_insert), \
+            mock.patch.object(ap, "_dense_passing", count_dense):
+        yield events
+
+
+def assert_oracle_bitwise(s, config):
+    R, A, iterations, converged = message_passing(matrix_from(s).store, config)
+    R_oracle, A_oracle, oracle_iterations, oracle_converged = message_passing_oracle(
+        s, damping=config.damping, max_iterations=config.max_iterations
+    )
+    assert R.tobytes() == R_oracle.tobytes()
+    assert A.tobytes() == A_oracle.tobytes()
+    assert (iterations, converged) == (oracle_iterations, oracle_converged)
 
 
 # rows per block of message passing and of the stores, capped at n
@@ -646,7 +701,7 @@ class TestRunAP:
             assert S.blocks is matrix.store.blocks
             raise KeyboardInterrupt
 
-        with mock.patch.object(ap, "message_passing", fail):
+        with mock.patch.object(ap, "_messages", fail):
             with pytest.raises(KeyboardInterrupt):
                 run_ap(matrix)
         assert matrix.s.tobytes() == before
@@ -676,7 +731,7 @@ class TestRunAP:
             received.append(S)
             raise Received
 
-        with mock.patch.object(ap, "message_passing", capture):
+        with mock.patch.object(ap, "_messages", capture):
             with pytest.raises(Received):
                 run_ap(matrix)
         scale = np.abs(matrix.s).max() or 1.0
@@ -779,18 +834,22 @@ class TestMessagePassing:
     # workers: the count of CPUs message passing sees and may use, capped
     # at the number of blocks and at n // 2
     @pytest.mark.parametrize("workers", [1, 2, 3])
+    # the constant kind never converges on a dense source, as tied points
+    # elect no exemplar: a drawn one stops at 30 iterations, and the first
+    # explicit example runs the full cap of 200
     @settings(max_examples=60)
     @given(
         st.integers(2, 40),
         st.sampled_from(["constant", "ties", "spread"]),
         st.integers(0, 2**32 - 1),
         st.sampled_from([0.5, 0.9]),
+        st.just(False),
     )
-    @example(n=2, kind="constant", seed=0, damping=0.5)
-    @example(n=40, kind="ties", seed=1, damping=0.9)
-    @example(n=17, kind="spread", seed=2, damping=0.5)
+    @example(n=12, kind="constant", seed=0, damping=0.5, full_cap=True)
+    @example(n=40, kind="ties", seed=1, damping=0.9, full_cap=False)
+    @example(n=17, kind="spread", seed=2, damping=0.5, full_cap=False)
     def test_in_place_updates_equal_textbook_oracle_bitwise(
-        self, workers, source, block_rows, n, kind, seed, damping
+        self, workers, source, block_rows, n, kind, seed, damping, full_cap
     ):
         rng = np.random.default_rng(seed)
         if kind == "constant":
@@ -808,7 +867,8 @@ class TestMessagePassing:
         elif source == MEDIAN:
             s = -np.abs(np.round(s * 2) / 2)  # multiples of 0.5 in [-10, 0]
         rows = {"n-1": max(n - 1, 1), "n": n}.get(block_rows, block_rows)
-        config = APConfig(damping=damping)
+        config = APConfig(damping=damping,
+                          max_iterations=30 if kind == "constant" and not full_cap else 200)
         with mock.patch.object(ap, "_BLOCK_BYTES", rows * 8 * n), workers_patched(workers):
             if source == "dense":
                 R, A, iterations, converged = message_passing(ap._Nonzeros.from_dense(s), config)
@@ -819,12 +879,98 @@ class TestMessagePassing:
                 assert np.array_equal(matrix.s, s)
                 s = matrix.s
         R_oracle, A_oracle, oracle_iterations, oracle_converged = message_passing_oracle(
-            s, damping=damping
+            s, damping=damping, max_iterations=config.max_iterations
         )
         assert R.tobytes() == R_oracle.tobytes()
         assert A.tobytes() == A_oracle.tobytes()
         assert iterations == oracle_iterations
         assert converged == oracle_converged
+
+    # each case of the compact layout, forced on a 20-point coefficient
+    # matrix: rows promoted by a negative preference, columns off the store
+    # that win a row's argmax, and a run that promotions send on over dense
+    # messages, past a lowered share constant
+    @pytest.mark.parametrize(
+        "event, preference, share",
+        [("promoted", -0.5, 0.5), ("exceptions", 0.0, 0.5), ("switched", -0.5, 0.15)],
+    )
+    def test_each_compact_case_equals_textbook_oracle_bitwise(self, event, preference, share):
+        s = sparse_similarity(np.random.default_rng(0), 20, preference)
+        with compact_events() as events, mock.patch.object(ap, "_COMPACT_SHARE", share):
+            assert_oracle_bitwise(s, APConfig())
+        assert events[event] > 0
+        assert events["switched"] == (event == "switched")
+
+    @settings(max_examples=40)
+    @given(
+        st.integers(2, 30),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([-0.5, -0.05, 0.0, 0.3, -5e-324, 5e-324]),
+        st.booleans(),
+        st.sampled_from([0.5, 0.9]),
+        st.sampled_from([0.15, 0.5]),
+    )
+    def test_compact_messages_equal_textbook_oracle_bitwise(
+        self, n, seed, preference, subnormal, damping, share
+    ):
+        s = sparse_similarity(np.random.default_rng(seed), n, preference, subnormal)
+        with mock.patch.object(ap, "_COMPACT_SHARE", share):
+            assert_oracle_bitwise(s, APConfig(damping=damping, max_iterations=60))
+
+    # the compact column sums are one bincount over the explicit entries in
+    # row order; sum(axis=0), like bincount, starts each column at +0.0, so
+    # a column of -0.0 entries sums to +0.0 either way, and the +0.0 of
+    # every entry off the store changes no sum
+    @given(st.integers(1, 6), st.data())
+    @example(n=2, data=None)
+    def test_column_sums_keep_the_sign_of_a_zero(self, n, data):
+        if data is None:
+            dense = np.full((n, n), -0.0)
+            explicit = np.array([[True, True], [True, False]])
+        else:
+            entries = st.sampled_from([-0.0, 0.0, -1.0, 1.0, 0.5])
+            dense = np.array(data.draw(st.lists(entries, min_size=n * n, max_size=n * n)))
+            dense = dense.reshape(n, n)
+            explicit = np.array(data.draw(st.lists(st.booleans(), min_size=n * n,
+                                                   max_size=n * n))).reshape(n, n)
+        dense[~explicit] = 0.0
+        rows, cols = np.nonzero(explicit)
+        sums = np.bincount(cols, weights=dense[rows, cols], minlength=n)
+        assert sums.tobytes() == dense.sum(axis=0).tobytes()
+
+    def test_compact_and_dense_paths_agree_at_1200_words(self):
+        matrix = build_similarity_matrix(synthetic_lexicon(1200, seed=3), COEFFICIENT)
+        assert matrix.store.stored() <= ap._COMPACT_SHARE * 1200 * 1199
+        config = APConfig(max_iterations=30)
+        with compact_events() as events:
+            compact = message_passing(matrix.store, config)
+        assert events["exceptions"] > 0 and not events["switched"]
+        with mock.patch.object(ap, "_COMPACT_SHARE", -1.0), \
+                mock.patch.object(ap, "_Compact", side_effect=AssertionError):
+            dense = message_passing(matrix.store, config)
+        assert compact[0].tobytes() == dense[0].tobytes()
+        assert compact[1].tobytes() == dense[1].tobytes()
+        assert compact[2:] == dense[2:] == (30, False)
+
+    def test_run_on_a_low_share_store_holds_no_dense_messages(self):
+        # 5.7% of the pairs share a gram.  The compact messages, about 67 B
+        # per explicit entry with their temporaries, the tie-break copy of
+        # the diagonal and one decoded block peaked at 0.49 n^2 x 8 B here;
+        # dense R and A alone take 2, and the run peaked at 2.16 with them
+        n = 1000
+        matrix = build_similarity_matrix(synthetic_lexicon(n, seed=3), COEFFICIENT)
+        s = matrix.s
+        np.fill_diagonal(s, 0.0)
+        assert np.count_nonzero(s) < 0.06 * n * (n - 1)
+        del s
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            run_ap(matrix, APConfig(max_iterations=20))
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak / (n * n * 8) <= 0.6
 
     @pytest.mark.parametrize("mode", [COEFFICIENT, MEDIAN])
     def test_a_store_reads_at_the_block_size_it_was_built_with(self, mode):

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stemcluster import build_lexicon
 from stemcluster.cli import main
 from stemcluster.greedy import read_stem_table, stem_word
 from stemcluster.clusters import read_cluster_report
@@ -162,6 +163,9 @@ class TestTrain:
         write_lexicon(synthetic_lexicon(n, seed=3), lexicon)
         monkeypatch.setattr(ap, "_BLOCK_BYTES", 4 * 8 * n)
         monkeypatch.setattr(ap, "_cpu_count", lambda: 2)
+        # this store is sparse enough for the compact messages, which start
+        # no thread; the dense ones are forced
+        monkeypatch.setattr(ap, "_COMPACT_SHARE", -1.0)
 
         def start(thread):
             raise RuntimeError("can't start new thread")
@@ -1024,10 +1028,14 @@ class TestEntryPoint:
     def test_ap_out_of_memory_is_one_error_line(self, tmp_path, budget):
         # the child caps its own address space at its size plus ``budget`` x
         # n^2 x 8 B: 0.1 fails while the similarity store is built, 1.5 in
-        # message passing
+        # message passing.  The compact messages of a sparse store fit in
+        # 1.5, so that run's words share a prefix: its store is dense, and
+        # so are its messages
         n = 3000
         lexicon = tmp_path / "lexicon.txt"
-        write_lexicon(synthetic_lexicon(n, seed=3), lexicon)
+        prefix = "কখ" if budget > 1 else ""
+        write_lexicon(build_lexicon([prefix + w for w in synthetic_lexicon(n, seed=3).words]),
+                      lexicon)
         proc = subprocess.run(
             [sys.executable, "-c", _MEMORY_PROBE, str(budget * n * n * 8), str(lexicon),
              str(tmp_path)],
