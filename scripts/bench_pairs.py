@@ -3,9 +3,8 @@
     python3 scripts/bench_pairs.py PARENT CHANGE --workload ap-dense \\
         --pairs 10 --seconds 40 --seed-base 3001 [--out result.json]
 
-PARENT and CHANGE are git revisions, or ``WORKTREE`` for the working
-tree's tracked and untracked, not ignored, files.  Each side is exported
-to a temporary folder outside the repository, and CHANGE's
+PARENT and CHANGE are git revisions.  Each is exported with ``git
+archive`` to a temporary folder outside the repository, and CHANGE's
 ``perfbench/`` is copied over the parent's, so one benchmark runs
 against each side's ``src``.  Every run gets ``PYTHONHASHSEED=0``,
 ``PYTHONUNBUFFERED=1`` and ``PYTHONDONTWRITEBYTECODE=1``.  One discarded
@@ -21,9 +20,14 @@ paired difference and a verdict:
 - ``better``: the change won at least nine tenths of the pairs, and the
   medians differ, its way, by more than the parent's quartile spread;
 - ``worse``: the change's median is worse by more than the metric's
-  bound, and the parent's quartile spread is within that bound;
-- ``unresolved``: the parent's quartile spread is wider than the bound;
-- ``within bound``: otherwise.
+  bound, and either the parent's quartile spread is within that bound
+  or the change lost at least nine tenths of the pairs and its median is
+  worse by more than that spread;
+- ``within bound``: no ``worse``, and either the parent's quartile
+  spread is within the bound or every run of the change is better than
+  every run of the parent;
+- ``unresolved``: otherwise, the parent's spread being wider than the
+  bound.
 
 Bounds are in the metric's own unit.  ``--out`` writes the summary and
 every raw result line as JSON.
@@ -44,7 +48,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKTREE = "WORKTREE"
 PINNED = {"PYTHONHASHSEED": "0", "PYTHONUNBUFFERED": "1", "PYTHONDONTWRITEBYTECODE": "1"}
 
 
@@ -58,20 +61,21 @@ def summary(parent: list[float], change: list[float], better: str, bound: float)
     spread = parent_q[2] - parent_q[0]
     gain = sign * (change_q[1] - parent_q[1])
     won = sum(g > 0 for g in gains)
+    lost = sum(g < 0 for g in gains)
     if won >= 0.9 * len(gains) and gain > spread:
         verdict = "better"
-    elif spread > bound:
-        verdict = "unresolved"
-    elif -gain > bound:
+    elif -gain > bound and (spread <= bound or (lost >= 0.9 * len(gains) and -gain > spread)):
         verdict = "worse"
-    else:
+    elif spread <= bound or min(sign * c for c in change) > max(sign * p for p in parent):
         verdict = "within bound"
+    else:
+        verdict = "unresolved"
     return {
         "parent_quartiles": parent_q,
         "change_quartiles": change_q,
         "parent_spread": spread,
         "won": won,
-        "lost": sum(g < 0 for g in gains),
+        "lost": lost,
         "median_paired_difference": statistics.median(c - p for p, c in zip(parent, change)),
         "bound": bound,
         "verdict": verdict,
@@ -82,16 +86,6 @@ def export(revision: str, target: Path) -> str:
     """Writes the revision's files under ``target``; returns its commit id."""
     target.mkdir(parents=True)
     git = ["git", "-C", str(ROOT)]
-    if revision == WORKTREE:
-        listed = subprocess.run([*git, "ls-files", "-z", "--cached", "--others",
-                                 "--exclude-standard"], check=True, capture_output=True).stdout
-        for name in filter(None, listed.decode().split("\0")):
-            if (ROOT / name).is_file():
-                (target / name).parent.mkdir(parents=True, exist_ok=True)
-                shutil.copy2(ROOT / name, target / name)
-        head = subprocess.run([*git, "rev-parse", "HEAD"], check=True, capture_output=True,
-                              text=True).stdout.strip()
-        return f"{head}+worktree"
     commit = subprocess.run([*git, "rev-parse", "--verify", f"{revision}^{{commit}}"],
                             check=True, capture_output=True, text=True).stdout.strip()
     archive = target.parent / f"{target.name}.tar"

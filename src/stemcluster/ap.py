@@ -100,7 +100,8 @@ bitwise equal to the textbook update's.
   entries + n log n), and no n x n array is made.  A run whose
   promotions would take the explicit entries past ``_COMPACT_SHARE``
   continues in the dense layout from R and A decoded at that point, so
-  a run costs at most what the dense layout costs.  A -0.0 on the
+  a run costs at most what the dense layout costs, and the iteration's
+  per-entry temporaries are freed before that decoding.  A -0.0 on the
   diagonal sends a store to the dense layout: it is the one similarity
   whose new responsibility reads the sign of a zero second maximum.
 - Dense, for every other store: two n x n arrays, as below.  Median
@@ -158,7 +159,10 @@ arrays, and W block scratches of about ``_BLOCK_BYTES`` beside the
 store: 0.25 n^2 x 8 B in median mode, and between 0 and 1.0 n^2 x 8 B
 in coefficient mode, as above.  A compact run holds about 67 B per
 explicit entry with its temporaries: 0.49 n^2 x 8 B at 1 000 words with
-5.7% of the pairs stored.  The messages are freed before each point's
+5.7% of the pairs stored.  A run sent on over dense messages holds, while
+it decodes them, R, A and 16 B per explicit entry beside the store: 2.35
+n^2 x 8 B at those words and preference -2, and by the same count about
+2.9 at a share of 0.25.  The messages are freed before each point's
 exemplar similarities are gathered, one decoded block at a time.
 ``config.PEAK_N2`` holds, per mode, the process peak that
 ``estimated_peak`` reports; coefficient mode's is its bound, with every
@@ -229,8 +233,12 @@ _CONVERGENCE_WINDOW = 15
 # 10 iterations, compact against dense on two workers: 35 / 88 ms at a share
 # of 0.1, 72 / 94 ms at 0.2, 105 / 97 ms at 0.3, 170 / 102 ms at 0.5
 _COMPACT_SHARE = 0.25
-# the leading columns of the availability order that each row is first
-# searched for its first background column
+# each row's first background column is looked for among this many leading
+# columns of the availability order, and only a row that holds them all
+# sorts its ranks; none did in perfbench's runs.  message_passing, 30
+# iterations at 1 200 and 3 000 perfbench words, ran level (within 3%) at
+# widths 4 to 16, 2-23% slower at 64, and 22-32% slower with every row's
+# ranks sorted and no window
 _WINDOW = 16
 
 
@@ -802,6 +810,7 @@ def _compact_passing(S: _Nonzeros, config: APConfig, limit: float):
         m.rho *= damping
         fresh *= 1.0 - damping
         m.rho += fresh
+        del summed, new  # one value per explicit entry each, not wanted past here
 
         # a row whose other entries clip to anything but +0.0 turns explicit;
         # one that would take the explicit entries past the limit sends the

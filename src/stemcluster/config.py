@@ -35,7 +35,9 @@ MEDIAN_PREFERENCE = "median"
 # with at most a quarter of its pairs compactly, its typical run is far
 # below that bound: 0.49 in process at 1 000 synthetic words (d = 5.7%),
 # against 2.16 with dense messages.  The bound stays: a store past the
-# quarter, or a run whose promoted rows take it there, holds dense R and A
+# quarter, or a run whose promoted rows take it there, holds dense R and A.
+# Such a run peaks while it decodes them from the compact messages: 2.35 in
+# process at those words and preference -2, and by count about 2.9 at most
 PEAK_N2 = {COEFFICIENT: 3.5, MEDIAN: 2.5}
 
 

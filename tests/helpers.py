@@ -155,8 +155,12 @@ def best_net_similarity(s) -> tuple[tuple[int, ...], float]:
     return best, best_value
 
 
-def message_passing_oracle(S, damping=0.5, max_iterations=200, convergence_window=15):
-    """Textbook damped AP updates, one new array per step; (R, A, iterations, converged)."""
+def message_passing_oracle(S, damping=0.5, max_iterations=200, convergence_window=15,
+                           on_clip=None):
+    """Textbook damped AP updates, one new array per step; (R, A, iterations, converged).
+
+    ``on_clip``, if given, is called with each iteration's clipped
+    responsibilities, the terms of the column sums."""
     n = S.shape[0]
     R = np.zeros_like(S)
     A = np.zeros_like(S)
@@ -177,6 +181,8 @@ def message_passing_oracle(S, damping=0.5, max_iterations=200, convergence_windo
 
         clipped = np.maximum(R, 0.0)
         np.fill_diagonal(clipped, R.diagonal())
+        if on_clip is not None:
+            on_clip(clipped)
         column_sums = clipped.sum(axis=0)
         A_new = column_sums[None, :] - clipped
         self_availability = A_new.diagonal().copy()

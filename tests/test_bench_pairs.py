@@ -31,6 +31,16 @@ class TestSummary:
             ([10, 10, 10, 10], [11, 11, 11, 11], "lower", 0.5, "worse"),
             ([10, 10, 10, 10], [9, 9, 9, 9], "higher", 0.5, "worse"),
             ([10, 10, 10, 10], [10.25, 10.25, 10.25, 10.25], "lower", 0.5, "within bound"),
+            # a spread of 2 against a bound of 0.5: lost every pair, the
+            # medians 10 apart, past the spread and the bound
+            ([10, 11, 12, 13, 14], [20, 21, 22, 23, 24], "lower", 0.5, "worse"),
+            ([10, 11, 12, 13, 14], [0, 1, 2, 3, 4], "higher", 0.5, "worse"),
+            # lost every pair, but the medians are 1.5 apart, within the spread
+            ([10, 11, 12, 13, 14], [11.5, 12.5, 13.5, 14.5, 15.5], "lower", 0.5, "unresolved"),
+            # a spread of 7.8: every run of the change beats every run of the
+            # parent, by less than the spread at the median
+            ([10, 10.1, 14, 17.9, 18], [9, 9, 9, 9, 9], "lower", 0.5, "within bound"),
+            ([10, 10.1, 14, 17.9, 18], [19, 19, 19, 19, 19], "higher", 0.5, "within bound"),
         ],
     )
     def test_verdict(self, parent, change, better, bound, verdict):
