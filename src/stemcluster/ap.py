@@ -107,7 +107,8 @@ bitwise equal to the textbook update's.
 - Dense, for every other store: two n x n arrays, as below.  Median
   mode stays dense: its store keeps every pair, 52-55% of them above
   its -200 background on perfbench's lexicons, so few entries would be
-  left to share a value.
+  left to share a value, and the compact layout over them, background
+  -200, took 1.8-2.0 times as long as the dense one.
 
 ``message_passing`` decodes either layout into R and A.  ``run_ap``
 reads only the self-beliefs r(k,k) + a(k,k).
